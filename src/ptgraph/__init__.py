@@ -68,7 +68,6 @@ from .errors import (
     PTGraphError,
     ResolutionTooCoarse,
     SingularGram,
-    StepTooLarge,
     TooFewBonds,
     UnknownFamily,
     UnsortedGrid,

@@ -44,12 +44,11 @@ from .boundary import (
 )
 from .dynamics import WaveState, current_series
 from .errors import PTGraphError
-from .graph import MetricStarGraph, make_star_graph
+from .graph import DEFAULT_RESOLUTION, MetricStarGraph, make_star_graph
 from .spectral import build_basis, find_roots
 
 DEFAULT_KMAX = 20.0
 DEFAULT_TOL = 1e-12
-DEFAULT_RESOLUTION = 2001
 DEFAULT_PRECISION = 12
 
 #: verify thresholds (fixed; the report gates against exactly these)
@@ -190,7 +189,7 @@ def _config_comments(cfg: RunConfig, command: str) -> list[str]:
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    roots = find_roots(cfg.graph, 0.0, cfg.k_max, None, cfg.tol, family=cfg.family)
+    roots = find_roots(cfg.graph, 0.0, cfg.k_max, tol=cfg.tol, family=cfg.family)
     lines = _config_comments(cfg, "spectrum")
     lines.append("n,k,degenerate")
     for n, r in enumerate(roots, start=1):
@@ -200,11 +199,11 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def cmd_modes(cfg: RunConfig) -> int:
-    basis = build_basis(cfg.graph, cfg.family, cfg.k_max, tol=cfg.tol)
+    basis = build_basis(cfg.graph, cfg.family, cfg.k_max, tol=cfg.tol, resolution=cfg.resolution)
     lines = _config_comments(cfg, "modes")
     for n, mode in enumerate(basis.modes, start=1):
         bf = mode.as_bond_function()
-        norm = l2_inner(bf, bf).real
+        norm = l2_inner(bf, bf, cfg.resolution).real
         lines.append(f"# norm_check,{n},{_fmt(norm, cfg.precision)}")
     lines.append("n,bond,x,re_psi,im_psi")
     for n, mode in enumerate(basis.modes, start=1):
@@ -254,7 +253,7 @@ def _parse_coeffs(raw: str, n_modes: int) -> np.ndarray:
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
-    basis = build_basis(cfg.graph, cfg.family, cfg.k_max, tol=cfg.tol)
+    basis = build_basis(cfg.graph, cfg.family, cfg.k_max, tol=cfg.tol, resolution=cfg.resolution)
     coeffs = _parse_coeffs(cfg.coeff_spec, len(basis.modes))
     state = WaveState(basis=basis, coeffs=coeffs, t=0.0)
     times = np.linspace(0.0, cfg.t_max, cfg.t_steps)
@@ -342,7 +341,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.family == CUSTOM:
         report.append("[INFO] spectral checks need a built-in family; skipped for custom matrices")
     else:
-        basis = build_basis(graph, cfg.family, cfg.k_max, tol=cfg.tol)
+        basis = build_basis(graph, cfg.family, cfg.k_max, tol=cfg.tol, resolution=cfg.resolution)
         modes = basis.modes[:VERIFY_MODE_COUNT]
         report.append(
             f"modes_used : {len(modes)} of {len(basis.modes)} regular "

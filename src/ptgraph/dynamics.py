@@ -31,8 +31,6 @@ from .spectral import SpectralBasis
 
 #: projection refuses Gram systems beyond this condition number
 GRAM_COND_LIMIT = 1e12
-#: currents must be real up to this imaginary residue
-CURRENT_IMAG_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -146,10 +144,7 @@ def bond_current(state: WaveState, bond: int, x: float) -> float:
         raise OutOfDomain(f"x = {x} outside [0, {graph.length(bond)}] on bond {bond}")
     psi = complex(state.value(bond, float(x)))
     dpsi = complex(state.deriv(bond, float(x)))
-    j = 0.5j * (psi * np.conj(dpsi) - dpsi * np.conj(psi))
-    if abs(j.imag) > CURRENT_IMAG_TOL:
-        raise ArithmeticError(f"current has imaginary residue {j.imag:g}")
-    return float(j.real)
+    return (psi.conjugate() * dpsi).imag
 
 
 class VertexCurrent(NamedTuple):

@@ -57,10 +57,6 @@ class InvalidWindow(PTGraphError):
     pass
 
 
-class StepTooLarge(PTGraphError):
-    pass
-
-
 class NotARoot(PTGraphError):
     pass
 

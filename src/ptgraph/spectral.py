@@ -1,13 +1,16 @@
 """Secular-equation root finding and normalized eigenfunction construction.
 
 Both PT-consistent condition families share one transcendental root
-condition in the wavenumber k; the Hermitian reference family has its own.
-Roots are located by a sign-change scan plus bisection, with an extra pass
-that catches even-multiplicity roots (the scan sees a dip of |S| instead of
-a crossing). Roots where some sin(k L_j) vanishes are flagged degenerate:
-the closed-form eigenfunctions divide by sin(k L_j) and are undefined
-there, so such roots are excluded from basis construction and reported
-separately.
+condition in the wavenumber k, sum_j csc(k L_j) = 0; the Hermitian
+reference family has its own, sum_j cot(k L_j) = 0. All of their structure
+sits on the sine zeros n pi / L_j, so roots are bracketed on that pole
+lattice: a zero shared by two or more bonds is itself a root, each
+pole-free interval of the Kirchhoff family holds exactly one root, and the
+PT intervals are subdivided until a curvature bound leaves at most one
+root per piece. The brackets are bisected together. Roots where some
+sin(k L_j) vanishes are flagged degenerate: the closed-form eigenfunctions
+divide by sin(k L_j) and are undefined there, so such roots are excluded
+from basis construction and reported separately.
 """
 from __future__ import annotations
 
@@ -26,29 +29,46 @@ from .boundary import (
 from .errors import (
     DegenerateMode,
     DimensionMismatch,
+    EvaluationFailure,
     InvalidWindow,
     NormalizationError,
     NotARoot,
     OutOfDomain,
-    StepTooLarge,
     UnknownFamily,
 )
 from .graph import DEFAULT_RESOLUTION, MetricStarGraph
 
-#: default bisection / dedup tolerances
+#: default lower cut-off of the root window (excludes k = 0)
 DEFAULT_ROOT_TOL = 1e-12
-ROOT_DEDUP_TOL = 1e-9
+#: basis wavenumbers must be further apart than this
+MODE_SEPARATION_TOL = 1e-9
+#: sine zeros of different bonds closer than this (relative) are one pole
+POLE_MERGE_REL = 1e-12
 #: a root is degenerate when some |sin(k L_j)| falls below this
 DEGENERATE_SINE_TOL = 1e-8
-#: an |S| dip must refine below this to count as an even-multiplicity root
-EVEN_ROOT_TOL = 1e-12
 #: |S(k)| required of a k passed to eigenmode()
 MODE_ROOT_TOL = 1e-9
 #: tolerance of the closed-form-vs-quadrature norm cross-check
 NORM_CHECK_TOL = 1e-8
+#: most PT pieces tested per vectorised step
+_BATCH = 256
 
 _SIN_FAMILIES = (PT_DIRICHLET, KIRCHHOFF_REF)
 _ALL_FAMILIES = (PT_DIRICHLET, PT_NEUMANN, KIRCHHOFF_REF)
+
+
+def _cofactor_sum(k, graph: MetricStarGraph, weighted: bool):
+    """sum_j w_j prod_{i != j} sin(k L_i), with w_j = cos(k L_j) if weighted
+    and 1 otherwise, for a scalar or an array of k values."""
+    lengths = np.asarray(graph.lengths)
+    k_arr = np.asarray(k, dtype=float)
+    sines = np.sin(k_arr[..., None] * lengths)
+    cosines = np.cos(k_arr[..., None] * lengths) if weighted else None
+    total = np.zeros(k_arr.shape)
+    for j in range(len(lengths)):
+        term = np.prod(np.delete(sines, j, axis=-1), axis=-1)
+        total = total + (term if cosines is None else cosines[..., j] * term)
+    return total if total.shape else float(total)
 
 
 def secular(k, graph: MetricStarGraph):
@@ -59,15 +79,7 @@ def secular(k, graph: MetricStarGraph):
     is sin kL1 sin kL2 + sin kL1 sin kL3 + sin kL2 sin kL3. Accepts a scalar
     or an array of k values.
     """
-    lengths = np.asarray(graph.lengths)
-    k_arr = np.asarray(k, dtype=float)
-    sines = np.sin(k_arr[..., None] * lengths)
-    n = len(lengths)
-    total = np.zeros(k_arr.shape)
-    for j in range(n):
-        others = np.delete(sines, j, axis=-1)
-        total = total + np.prod(others, axis=-1)
-    return total if total.shape else float(total)
+    return _cofactor_sum(k, graph, weighted=False)
 
 
 def secular_kirchhoff(k, graph: MetricStarGraph):
@@ -76,16 +88,7 @@ def secular_kirchhoff(k, graph: MetricStarGraph):
     Pole-free form of sum_j cot(k L_j) = 0: sum_j cos(k L_j) prod_{i != j}
     sin(k L_i). Not shared with the PT families.
     """
-    lengths = np.asarray(graph.lengths)
-    k_arr = np.asarray(k, dtype=float)
-    sines = np.sin(k_arr[..., None] * lengths)
-    cosines = np.cos(k_arr[..., None] * lengths)
-    n = len(lengths)
-    total = np.zeros(k_arr.shape)
-    for j in range(n):
-        others = np.delete(sines, j, axis=-1)
-        total = total + cosines[..., j] * np.prod(others, axis=-1)
-    return total if total.shape else float(total)
+    return _cofactor_sum(k, graph, weighted=True)
 
 
 def _secular_for_family(family: str):
@@ -96,145 +99,152 @@ def _secular_for_family(family: str):
     raise UnknownFamily(f"no spectral problem for family {family!r}")
 
 
-def _secular_deriv(k: float, graph: MetricStarGraph, family: str) -> float:
-    """d/dk of the family's root condition (used to pin |S| dips)."""
-    ls = graph.lengths
-    n = len(ls)
-    s = [math.sin(k * l) for l in ls]
-    c = [math.cos(k * l) for l in ls]
-
-    def prod_except(skip):
-        p = 1.0
-        for m in range(n):
-            if m not in skip:
-                p *= s[m]
-        return p
-
-    if family in (PT_DIRICHLET, PT_NEUMANN):
-        return sum(
-            ls[i] * c[i] * prod_except({j, i})
-            for j in range(n)
-            for i in range(n)
-            if i != j
-        )
-    if family == KIRCHHOFF_REF:
-        tot = 0.0
-        for j in range(n):
-            tot += -ls[j] * s[j] * prod_except({j})
-            tot += c[j] * sum(
-                ls[i] * c[i] * prod_except({j, i}) for i in range(n) if i != j
-            )
-        return tot
-    raise UnknownFamily(f"no spectral problem for family {family!r}")
-
-
 @dataclass(frozen=True)
 class SecularRoot:
-    """One located root: its k, the degeneracy flag, and how it was found."""
+    """One located root: its k and whether some sin(k L_j) vanishes there."""
 
     k: float
     degenerate: bool
-    sign_change: bool
 
 
-def _bisect(fn, a: float, b: float, fa: float, fb: float) -> float:
-    """Bisection run down to the floating-point floor of the bracket."""
-    for _ in range(200):
+def _pole_lattice(lengths: np.ndarray, lo: float, hi: float):
+    """Nodes lo, the sine zeros n pi / L_j in (lo, hi] (zeros of different
+    bonds within POLE_MERGE_REL of each other are one node) and hi.
+
+    Returns the nodes, how many bonds vanish at each node (0 at lo and hi)
+    and, per interval between neighbouring nodes, the parity p[i, j] with
+    sign sin(k L_j) = (-1)**p[i, j] inside interval i.
+    """
+    ks = np.concatenate([np.arange(1, hi * l // math.pi + 2) * math.pi / l for l in lengths])
+    ks = np.sort(ks[(ks > lo) & (ks <= hi)])
+    first = np.ones(ks.size, dtype=bool)
+    first[1:] = np.diff(ks) > POLE_MERGE_REL * ks[1:]
+    nodes = np.concatenate([[lo], ks[first], [hi] if ks.size == 0 or ks[-1] < hi else []])
+    mult = np.zeros(nodes.size, dtype=int)
+    mult[1 : 1 + first.sum()] = np.diff(np.append(np.flatnonzero(first), ks.size))
+    mid = 0.5 * (nodes[:-1] + nodes[1:])
+    return nodes, mult, np.floor(mid[:, None] * lengths / math.pi) % 2
+
+
+def _split_pt(sec, lengths, a, b, fa, fb):
+    """Halve the pieces [a, b] of the PT secular function S until each holds
+    at most one root; returns the pieces with their end values.
+
+    Rolle: two roots in [a, b] put a zero c of S' between them, so with
+    |S''| <= M there, |S(a)| <= M (c - a)^2 / 2 and |S(b)| <= M (b - c)^2 / 2.
+    A piece with sqrt|S(a)| + sqrt|S(b)| > h sqrt(M / 2) holds at most one
+    root. M bounds each product P of sines over a bond set T: with
+    |s_i| <= u_i on the piece, |s_i'| <= L_i and |s_i''| <= L_i^2 u_i,
+    |P''| <= prod_T u * (sum_T L^2 + (sum_T w)^2 - sum_T w^2) for w = L / u.
+    A pole shared by m bonds, where S vanishes to order m - 1, has the end
+    value NaN: pieces touching it never pass and, once narrower than
+    DEGENERATE_SINE_TOL / max L, belong to that degenerate root.
+    """
+    narrow = DEGENERATE_SINE_TOL / lengths.max()
+    l_sq = lengths * lengths
+    done = [(a[:0], b[:0], fa[:0], fb[:0])]
+    todo = [a, b, fa, fb]
+    while todo[0].size:
+        # a bounded batch at a time keeps the (pieces x bonds) arrays small
+        (a, b, fa, fb), todo = [x[:_BATCH] for x in todo], [x[_BATCH:] for x in todo]
+        h = b - a
+        u = np.abs(np.sin(a[:, None] * lengths)) + np.abs(np.sin(b[:, None] * lengths))
+        u = np.minimum(1.0, 0.5 * (u + lengths * h[:, None]))
+        w = lengths / u
+        w_sum, w_sq = w.sum(axis=1, keepdims=True), (w * w).sum(axis=1, keepdims=True)
+        others = np.prod(u, axis=1, keepdims=True) / u  # prod over T = all bonds but j
+        bound = np.sum(others * (l_sq.sum() - l_sq + (w_sum - w) ** 2 - (w_sq - w * w)), axis=1)
+        simple = np.sqrt(np.abs(fa)) + np.sqrt(np.abs(fb)) > h * np.sqrt(0.5 * bound)
+        done.append((a[simple], b[simple], fa[simple], fb[simple]))
+        pinned = (h < narrow) & (np.isnan(fa) | np.isnan(fb))
+        a, b, fa, fb = (x[~simple & ~pinned] for x in (a, b, fa, fb))
         m = 0.5 * (a + b)
-        if m <= a or m >= b:
+        if np.any((m <= a) | (m >= b)):
+            raise EvaluationFailure(
+                f"roots of the secular function near k = {a[0]:.17g} cannot be "
+                "separated in floating point"
+            )
+        fm = sec(m)
+        # the halves [a, m] and [m, b] join the queue
+        todo = [np.concatenate(x) for x in zip(todo, (a, m, fa, fm), (m, b, fm, fb))]
+    return (np.concatenate(x) for x in zip(*done))
+
+
+def _bisect(sec, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray:
+    """Bisect all brackets together (updating a and b in place), each down
+    to the floating-point floor."""
+    live = np.arange(a.size)
+    for _ in range(200):
+        m = 0.5 * (a[live] + b[live])
+        moving = (m > a[live]) & (m < b[live])
+        live, m = live[moving], m[moving]
+        if not live.size:
             break
-        fm = fn(m)
-        if fm == 0.0:
-            return m
-        if (fm < 0.0) == (fa < 0.0):
-            a, fa = m, fm
-        else:
-            b, fb = m, fm
+        fm = sec(m)
+        zero = fm == 0.0
+        left = (fm < 0.0) == (fa[live] < 0.0)
+        a[live[left | zero]] = m[left | zero]
+        b[live[~left | zero]] = m[~left | zero]
     return 0.5 * (a + b)
-
-
-def _is_degenerate(k: float, graph: MetricStarGraph) -> bool:
-    return any(abs(math.sin(k * l)) < DEGENERATE_SINE_TOL for l in graph.lengths)
 
 
 def find_roots(
     graph: MetricStarGraph,
     k_min: float,
     k_max: float,
-    scan_step: float | None = None,
     tol: float = DEFAULT_ROOT_TOL,
     family: str = PT_DIRICHLET,
 ) -> list[SecularRoot]:
     """Locate all roots of the family's secular function on (k_min, k_max].
 
-    Scans in steps of scan_step for sign changes and refines each bracket by
-    bisection (at least to width `tol`, in practice to the floating-point
-    floor). Dips of |S| that refine below EVEN_ROOT_TOL are kept as
-    even-multiplicity roots. k = 0 is always excluded. Refuses scan steps
-    above pi / (2 max L_j), which could hop over adjacent roots.
+    Works on the pole lattice, the merged sine zeros n pi / L_j. A zero that
+    two or more bonds share is a root and is returned once, at the pole.
+    Between neighbouring poles:
+
+    - Kirchhoff: sum_j cot(k L_j) falls from +inf to -inf, so each interval
+      holds exactly one root and S has the signs +/- sign(prod_j sin k L_j)
+      at its ends; only the window ends are evaluated.
+    - PT: sum_j csc(k L_j) has no root where all sines share a sign; the
+      other intervals are halved until a Rolle bound on S'' leaves at most
+      one root per piece.
+
+    A sign change brackets that root, and all brackets are bisected together
+    to the floating-point floor, so `tol` only sets the lower cut-off
+    max(k_min, tol) that excludes k = 0. A root is flagged degenerate when
+    some |sin(k L_j)| < DEGENERATE_SINE_TOL. Roots that cannot be separated
+    in floating point raise EvaluationFailure.
     """
     if not (math.isfinite(k_min) and math.isfinite(k_max)) or k_min < 0 or k_min >= k_max:
         raise InvalidWindow(f"need 0 <= k_min < k_max, got [{k_min}, {k_max}]")
     if not (tol > 0.0 and math.isfinite(tol)):
         raise InvalidWindow(f"tol must be a positive number, got {tol}")
-    max_l = max(graph.lengths)
-    if scan_step is None:
-        scan_step = math.pi / (50.0 * max_l)
-    if not (scan_step > 0.0 and math.isfinite(scan_step)):
-        raise InvalidWindow(f"scan_step must be a positive number, got {scan_step}")
-    if scan_step > math.pi / (2.0 * max_l):
-        raise StepTooLarge(
-            f"scan_step {scan_step:g} exceeds pi/(2 max L) = {math.pi / (2 * max_l):g} "
-            "and could skip roots"
-        )
     sec_fn = _secular_for_family(family)
-    fn = lambda k: float(sec_fn(k, graph))
-
+    sec = lambda k: sec_fn(k, graph)
     lo = max(k_min, tol)
     if lo >= k_max:
         return []
-    grid = np.arange(lo, k_max, scan_step)
-    if grid.size == 0 or grid[-1] < k_max:
-        grid = np.append(grid, k_max)
-    vals = np.asarray(sec_fn(grid, graph), dtype=float)
-
-    candidates: list[tuple[float, bool]] = []  # (k, sign_change)
-    for i in np.nonzero(vals == 0.0)[0]:
-        candidates.append((float(grid[i]), True))
-    sgn = np.sign(vals)
-    for i in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]:
-        k_root = _bisect(fn, float(grid[i]), float(grid[i + 1]), vals[i], vals[i + 1])
-        candidates.append((k_root, True))
-
-    # |S| dips with no sign change: refine on dS/dk, keep if S reaches ~0
-    bracketed = {int(i) for i in np.nonzero(sgn[:-1] * sgn[1:] <= 0)[0]}
-    absv = np.abs(vals)
-    for i in range(1, len(grid) - 1):
-        if not (absv[i - 1] >= absv[i] <= absv[i + 1]):
-            continue
-        if {i - 1, i} & bracketed:
-            continue
-        dfn = lambda k: _secular_deriv(k, graph, family)
-        dlo, dhi = dfn(float(grid[i - 1])), dfn(float(grid[i + 1]))
-        if dlo == 0.0:
-            k_min_pt = float(grid[i - 1])
-        elif dhi == 0.0:
-            k_min_pt = float(grid[i + 1])
-        elif (dlo < 0.0) != (dhi < 0.0):
-            k_min_pt = _bisect(dfn, float(grid[i - 1]), float(grid[i + 1]), dlo, dhi)
-        else:
-            continue
-        if abs(fn(k_min_pt)) < EVEN_ROOT_TOL:
-            candidates.append((k_min_pt, False))
-
-    out: list[SecularRoot] = []
-    for k_root, via_sign in sorted(candidates):
-        if out and k_root - out[-1].k < ROOT_DEDUP_TOL:
-            continue
-        out.append(
-            SecularRoot(k=k_root, degenerate=_is_degenerate(k_root, graph), sign_change=via_sign)
-        )
-    return out
+    lengths = np.asarray(graph.lengths, dtype=float)
+    nodes, mult, parity = _pole_lattice(lengths, lo, k_max)
+    poles = nodes[mult >= 2]
+    a, b = nodes[:-1], nodes[1:]
+    if family == KIRCHHOFF_REF:
+        fa = 1.0 - 2.0 * (parity.sum(axis=1) % 2)  # sign of prod_j sin(k L_j)
+        fb = -fa
+        fa[0], f_hi = sec(nodes[[0, -1]])
+        if not mult[-1]:
+            fb[-1] = f_hi
+    else:
+        f = sec(nodes)
+        f[mult >= 2] = np.nan
+        mixed = parity.any(axis=1) & ~parity.all(axis=1)
+        a, b, fa, fb = _split_pt(sec, lengths, a[mixed], b[mixed], f[:-1][mixed], f[1:][mixed])
+    cross = fa * fb < 0.0
+    ks = np.sort(np.concatenate([poles, b[fb == 0.0], _bisect(sec, a[cross], b[cross], fa[cross])]))
+    min_sine = np.abs(np.sin(ks[:, None] * lengths)).min(axis=1, initial=1.0)
+    return [
+        SecularRoot(k=float(k), degenerate=bool(s < DEGENERATE_SINE_TOL))
+        for k, s in zip(ks, min_sine)
+    ]
 
 
 @dataclass(frozen=True)
@@ -368,7 +378,7 @@ class SpectralBasis:
     def __post_init__(self):
         ks = [m.k for m in self.modes]
         for a, b in zip(ks, ks[1:]):
-            if not b > a + ROOT_DEDUP_TOL:
+            if not b > a + MODE_SEPARATION_TOL:
                 raise DimensionMismatch("mode wavenumbers must be strictly increasing")
         for m in self.modes:
             if m.family != self.family or m.graph != self.graph:
@@ -382,12 +392,11 @@ def build_basis(
     graph: MetricStarGraph,
     family: str,
     k_max: float,
-    scan_step: float | None = None,
     tol: float = DEFAULT_ROOT_TOL,
     resolution: int = DEFAULT_RESOLUTION,
 ) -> SpectralBasis:
     """Find all roots on (0, k_max] and build eigenmodes at the regular ones."""
-    roots = find_roots(graph, 0.0, k_max, scan_step, tol, family=family)
+    roots = find_roots(graph, 0.0, k_max, tol, family=family)
     modes = tuple(
         eigenmode(r.k, family, graph, resolution) for r in roots if not r.degenerate
     )

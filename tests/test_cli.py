@@ -97,7 +97,7 @@ class TestModes:
         out = tmp_path / "modes.csv"
         cp = run_cli(
             "modes", "--lengths", "1.0,1.5,2.0", "--family", "pt-dirichlet",
-            "--kmax", "4", "--resolution", "41", "--out", str(out),
+            "--kmax", "4", "--resolution", "401", "--out", str(out),
         )
         assert cp.returncode == 0, cp.stderr
         text = out.read_text()
@@ -163,6 +163,17 @@ class TestEvolve:
         assert cp.returncode == 0, cp.stderr
         totals = [abs(float(r.split(",")[1])) for r in data_rows(out.read_text())[1:]]
         assert max(totals) < 1e-10
+
+    def test_resolution_reaches_the_basis(self, tmp_path: Path):
+        # k = 121.72 is the first mode of this graph whose norm check fails
+        # at the default 2001 points per bond
+        out = tmp_path / "jr.csv"
+        cp = run_cli(
+            "evolve", "--lengths", "1,1.3,1.7", "--kmax", "122", "--resolution", "4001",
+            "--coeffs", "equal:5", "--tsteps", "3", "--out", str(out),
+        )
+        assert cp.returncode == 0, cp.stderr
+        assert len(data_rows(out.read_text())) == 1 + 3
 
     def test_zero_mode_count_rejected(self):
         cp = run_cli(

@@ -1,0 +1,81 @@
+"""Completeness of the root finder against the independent dense scan.
+
+The oracle is tests/util.dense_scan_roots, which types the secular
+functions directly for any number of bonds; nothing here reaches into the
+library's root-finding internals.
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import ptgraph as pg
+from util import REPRO_COUNTS_40, dense_scan_roots, dense_secular
+
+
+def family_of(kirchhoff):
+    return pg.KIRCHHOFF_REF if kirchhoff else pg.PT_DIRICHLET
+
+
+def assert_distinct_roots(roots, lengths, kirchhoff):
+    ks = np.array([r.k for r in roots])
+    assert np.all(np.diff(ks) > 0)
+    assert np.all(np.abs(dense_secular(ks, lengths, kirchhoff)) < 1e-10)
+
+
+@pytest.mark.parametrize("lengths,kirchhoff,count", REPRO_COUNTS_40)
+def test_close_root_pairs_are_all_found(lengths, kirchhoff, count):
+    roots = pg.find_roots(pg.make_star_graph(lengths), 0.0, 40.0, family=family_of(kirchhoff))
+    assert len(roots) == count
+    assert_distinct_roots(roots, lengths, kirchhoff)
+
+
+@pytest.mark.parametrize("kirchhoff", [False, True])
+def test_pole_shared_by_five_bonds(kirchhoff):
+    # every sin(k L_j) vanishes at 60 pi, where the secular functions vanish
+    # to fourth order
+    lengths = (1.2, 1.3, 1.45, 1.1, 1.05)
+    roots = pg.find_roots(pg.make_star_graph(lengths), 0.0, 200.0, family=family_of(kirchhoff))
+    assert_distinct_roots(roots, lengths, kirchhoff)
+    at_pole = [r for r in roots if abs(r.k - 60 * math.pi) < 1e-9]
+    assert len(at_pole) == 1 and at_pole[0].degenerate
+    lo, hi = 185.0, 192.0
+    sign_roots, even_roots = dense_scan_roots(lengths, hi, step=1e-5, kirchhoff=kirchhoff, k_min=lo)
+    assert sum(lo < r.k <= hi for r in roots) == len(sign_roots) + len(even_roots)
+
+
+#: bond lengths whose ratios are small rationals, so sine zeros coincide
+RATIONAL_LENGTHS = (1.0, 1.25, 1.5, 2.0, 2.5, 3.0)
+#: relative perturbations: distinct ones differ by at least 1e-6
+PERTURBATIONS = (0.0,) + tuple(s * 10.0 ** -e for e in (3, 4, 5, 6) for s in (1, -1))
+#: sine zeros up to this k are searched for the closest pair
+SEARCH_KMAX = 12.0
+#: zeros closer than this (relative) coincide
+COINCIDENT_REL = 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.sampled_from(RATIONAL_LENGTHS), st.sampled_from(PERTURBATIONS)),
+             min_size=3, max_size=4),
+    st.booleans(),
+)
+def test_near_commensurate_counts_match_dense_scan(bonds, kirchhoff):
+    lengths = tuple(q * (1.0 + eps) for q, eps in bonds)
+    zeros = sorted((n * math.pi / l, j) for j, l in enumerate(lengths)
+                   for n in range(1, int(SEARCH_KMAX * l / math.pi) + 1))
+    # a zero shared by three bonds is an even-order root, which a sign
+    # scan cannot see; the five-bond test covers those
+    assume(not any(c[0] - a[0] <= COINCIDENT_REL * c[0] for a, c in zip(zeros, zeros[2:])))
+    pairs = [(b[0] - a[0], 0.5 * (a[0] + b[0])) for a, b in zip(zeros, zeros[1:]) if a[1] != b[1]]
+    centre = min(pairs)[1]
+    lo, hi = centre - 0.02, centre + 0.02
+    gaps = [g for g, k in pairs if lo - 0.1 < k < hi and g > COINCIDENT_REL * k]
+    step = min([2e-6] + [g / 32 for g in gaps])
+    sign_roots, _ = dense_scan_roots(lengths, hi, step=step, zero_tol=0.0,
+                                     kirchhoff=kirchhoff, k_min=lo)
+    roots = pg.find_roots(pg.make_star_graph(lengths), lo, hi, family=family_of(kirchhoff))
+    assert len(roots) == len(sign_roots)
+    assert_distinct_roots(roots, lengths, kirchhoff)

@@ -4,6 +4,9 @@ The golden numbers were fixed by an independent oracle (scipy brentq on the
 directly-typed three-bond product form, scipy simpson for integrals) before
 the library was built.
 """
+from functools import reduce
+from operator import add, mul
+
 import numpy as np
 
 import ptgraph as pg
@@ -21,6 +24,14 @@ GOLDEN_REGULAR_123 = (
     15.316069590957,
 )
 GOLDEN_ROOT_COUNT_123 = 12
+
+# root counts on (0, 40] of tuples with near-coincident sine zeros, from
+# dense_scan_roots at step 2e-6: (lengths, kirchhoff family, count)
+REPRO_COUNTS_40 = (
+    ((1.0, 1.0001, 2.0), False, 37),
+    ((1.0, 1.0001, 2.0), True, 50),
+    ((1.0, 1.000001, 1.7), False, 33),
+)
 
 # secular value at k = 1 for lengths (1, 1.5, 2)
 GOLDEN_SECULAR_AT_1 = 2.51153011454353
@@ -68,22 +79,34 @@ def fd_second_derivative(fn, x, h=1e-4):
     ) / (12 * h * h)
 
 
-def dense_scan_roots(lengths, k_max, step=1e-6, zero_tol=1e-12, chunk=4_000_000):
-    """Independent dense-scan root count: directly-typed three-bond secular,
-    sign changes plus |S| dips below zero_tol away from sign changes."""
-    l1, l2, l3 = lengths
+def dense_secular(k, lengths, kirchhoff=False):
+    """Directly typed pole-free secular function for any number of bonds:
+    sum_j prod_{i != j} sin(k L_i), with each term times cos(k L_j) for the
+    Kirchhoff reference family."""
+    sines = [np.sin(k * l) for l in lengths]
+    terms = []
+    for j, lj in enumerate(lengths):
+        others = sines[:j] + sines[j + 1:]
+        terms.append(reduce(mul, others, np.cos(k * lj)) if kirchhoff else reduce(mul, others))
+    return reduce(add, terms)
+
+
+def dense_scan_roots(lengths, k_max, step=1e-6, zero_tol=1e-12, chunk=4_000_000,
+                     kirchhoff=False, k_min=0.0):
+    """Independent dense-scan roots on (k_min, k_max]: sign changes of the
+    directly typed secular function plus |S| dips below zero_tol away from
+    sign changes."""
 
     def sec(k):
-        s1, s2, s3 = np.sin(k * l1), np.sin(k * l2), np.sin(k * l3)
-        return s1 * s2 + s1 * s3 + s2 * s3
+        return dense_secular(k, lengths, kirchhoff)
 
-    n_total = int(round(k_max / step))
+    n_total = int(round((k_max - k_min) / step))
     sign_roots = []
     dip_samples = []
     prev_k = prev_v = None
     for start in range(1, n_total + 1, chunk):
         idx = np.arange(start, min(start + chunk, n_total + 1))
-        ks = idx * step
+        ks = k_min + idx * step
         vs = sec(ks)
         if prev_k is not None:
             ks = np.concatenate(([prev_k], ks))
