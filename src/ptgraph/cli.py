@@ -10,17 +10,20 @@ Exit codes: 0 success / all checks pass, 1 computational failure or
 internal error, 2 usage or validation error (message names the flag).
 Numbers are printed with a fixed number of significant digits and files
 are written atomically, so identical configurations give byte-identical
-artifacts.
+artifacts. Every command computes (and raises) before its first byte is
+written; the artifact is then streamed line by line, so memory does not
+grow with its size.
 """
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -155,12 +158,15 @@ def _fmt(x, precision: int) -> str:
     return format(x, f".{precision}g")
 
 
-def _atomic_write(path: str, text: str):
+def _atomic_write(path: str, lines: Iterable[str]):
+    """Write the lines to a temporary file beside `path` as they come, then
+    rename it over `path`; on any error the temporary file is removed and
+    `path` keeps its old content."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".ptgraph-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(line + "\n" for line in lines)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -168,11 +174,13 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def _emit(text: str, out_path):
+def _emit(lines: Iterable[str], out_path):
+    """Stream the lines to `out_path` (atomically) or to stdout. Callers
+    finish everything that can raise first, so `lines` only formats."""
     if out_path:
-        _atomic_write(out_path, text)
+        _atomic_write(out_path, lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(line + "\n" for line in lines)
 
 
 def _config_comments(cfg: RunConfig, command: str) -> list[str]:
@@ -192,9 +200,11 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     roots = find_roots(cfg.graph, 0.0, cfg.k_max, tol=cfg.tol, family=cfg.family)
     lines = _config_comments(cfg, "spectrum")
     lines.append("n,k,degenerate")
-    for n, r in enumerate(roots, start=1):
-        lines.append(f"{n},{_fmt(r.k, cfg.precision)},{'true' if r.degenerate else 'false'}")
-    _emit("\n".join(lines) + "\n", cfg.output_path)
+    rows = (
+        f"{n},{_fmt(r.k, cfg.precision)},{'true' if r.degenerate else 'false'}"
+        for n, r in enumerate(roots, start=1)
+    )
+    _emit(itertools.chain(lines, rows), cfg.output_path)
     return 0
 
 
@@ -206,16 +216,21 @@ def cmd_modes(cfg: RunConfig) -> int:
         norm = l2_inner(bf, bf, cfg.resolution).real
         lines.append(f"# norm_check,{n},{_fmt(norm, cfg.precision)}")
     lines.append("n,bond,x,re_psi,im_psi")
-    for n, mode in enumerate(basis.modes, start=1):
-        for bond in range(1, cfg.graph.n_bonds + 1):
-            xs = np.linspace(0.0, cfg.graph.length(bond), cfg.resolution)
-            vals = np.asarray(mode.value(bond, xs), dtype=complex)
-            for x, v in zip(xs, vals):
-                lines.append(
-                    f"{n},{bond},{_fmt(x, cfg.precision)},"
-                    f"{_fmt(v.real, cfg.precision)},{_fmt(v.imag, cfg.precision)}"
-                )
-    _emit("\n".join(lines) + "\n", cfg.output_path)
+
+    def rows():
+        # one (mode, bond) block of samples at a time, so memory does not
+        # grow with the artifact
+        for n, mode in enumerate(basis.modes, start=1):
+            for bond in range(1, cfg.graph.n_bonds + 1):
+                xs = np.linspace(0.0, cfg.graph.length(bond), cfg.resolution)
+                vals = np.asarray(mode.value(bond, xs), dtype=complex)
+                for x, v in zip(xs, vals):
+                    yield (
+                        f"{n},{bond},{_fmt(x, cfg.precision)},"
+                        f"{_fmt(v.real, cfg.precision)},{_fmt(v.imag, cfg.precision)}"
+                    )
+
+    _emit(itertools.chain(lines, rows()), cfg.output_path)
     return 0
 
 
@@ -263,11 +278,14 @@ def cmd_evolve(cfg: RunConfig) -> int:
     lines.append(f"# tmax: {_fmt(cfg.t_max, cfg.precision)}")
     lines.append(f"# tsteps: {cfg.t_steps}")
     lines.append("t,J_total," + ",".join(f"J_{j}" for j in range(1, cfg.graph.n_bonds + 1)))
-    for i, t in enumerate(series.times):
-        row = [_fmt(t, cfg.precision), _fmt(series.total[i], cfg.precision)]
-        row += [_fmt(series.per_bond[j, i], cfg.precision) for j in range(cfg.graph.n_bonds)]
-        lines.append(",".join(row))
-    _emit("\n".join(lines) + "\n", cfg.output_path)
+    rows = (
+        ",".join(
+            [_fmt(t, cfg.precision), _fmt(series.total[i], cfg.precision)]
+            + [_fmt(series.per_bond[j, i], cfg.precision) for j in range(cfg.graph.n_bonds)]
+        )
+        for i, t in enumerate(series.times)
+    )
+    _emit(itertools.chain(lines, rows), cfg.output_path)
     return 0
 
 
@@ -394,10 +412,9 @@ def cmd_verify(cfg: RunConfig) -> int:
             report.append(f"gram_cond : {_fmt(np.linalg.cond(gram), p)}")
 
     report.append(f"result: {'FAIL' if failed else 'PASS'}")
-    text = "\n".join(report) + "\n"
-    sys.stdout.write(text)
+    _emit(report, None)
     if cfg.output_path:
-        _atomic_write(cfg.output_path, text)
+        _atomic_write(cfg.output_path, report)
     return 1 if failed else 0
 
 

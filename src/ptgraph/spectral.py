@@ -126,6 +126,16 @@ def _pole_lattice(lengths: np.ndarray, lo: float, hi: float):
     return nodes, mult, np.floor(mid[:, None] * lengths / math.pi) % 2
 
 
+def _e1_e2_left(w: np.ndarray):
+    """Per row, the first and second elementary symmetric sums of the
+    entries strictly left of each column (0 where there are none)."""
+    e1 = np.zeros_like(w)
+    np.cumsum(w[:, :-1], axis=1, out=e1[:, 1:])
+    e2 = np.zeros_like(w)
+    np.cumsum((w * e1)[:, :-1], axis=1, out=e2[:, 1:])
+    return e1, e2
+
+
 def _split_pt(sec, lengths, a, b, fa, fb):
     """Halve the pieces [a, b] of the PT secular function S until each holds
     at most one root; returns the pieces with their end values.
@@ -135,7 +145,9 @@ def _split_pt(sec, lengths, a, b, fa, fb):
     A piece with sqrt|S(a)| + sqrt|S(b)| > h sqrt(M / 2) holds at most one
     root. M bounds each product P of sines over a bond set T: with
     |s_i| <= u_i on the piece, |s_i'| <= L_i and |s_i''| <= L_i^2 u_i,
-    |P''| <= prod_T u * (sum_T L^2 + (sum_T w)^2 - sum_T w^2) for w = L / u.
+    |P''| <= prod_T u * (sum_T L^2 + 2 e2_T(w)) for w = L / u, with e2 the
+    second elementary symmetric sum; it is built from non-negative terms
+    only, since w is huge next to a pole and a difference would cancel.
     A pole shared by m bonds, where S vanishes to order m - 1, has the end
     value NaN: pieces touching it never pass and, once narrower than
     DEGENERATE_SINE_TOL / max L, belong to that degenerate root.
@@ -151,9 +163,11 @@ def _split_pt(sec, lengths, a, b, fa, fb):
         u = np.abs(np.sin(a[:, None] * lengths)) + np.abs(np.sin(b[:, None] * lengths))
         u = np.minimum(1.0, 0.5 * (u + lengths * h[:, None]))
         w = lengths / u
-        w_sum, w_sq = w.sum(axis=1, keepdims=True), (w * w).sum(axis=1, keepdims=True)
-        others = np.prod(u, axis=1, keepdims=True) / u  # prod over T = all bonds but j
-        bound = np.sum(others * (l_sq.sum() - l_sq + (w_sum - w) ** 2 - (w_sq - w * w)), axis=1)
+        # T = all bonds but j: e2_T = e2(left of j) + e2(right of j) + e1(left) e1(right)
+        e1_l, e2_l = _e1_e2_left(w)
+        e1_r, e2_r = (x[:, ::-1] for x in _e1_e2_left(w[:, ::-1]))
+        others = np.prod(u, axis=1, keepdims=True) / u
+        bound = np.sum(others * (l_sq.sum() - l_sq + 2.0 * (e2_l + e2_r + e1_l * e1_r)), axis=1)
         simple = np.sqrt(np.abs(fa)) + np.sqrt(np.abs(fb)) > h * np.sqrt(0.5 * bound)
         done.append((a[simple], b[simple], fa[simple], fb[simple]))
         pinned = (h < narrow) & (np.isnan(fa) | np.isnan(fb))
@@ -195,7 +209,10 @@ def find_roots(
     tol: float = DEFAULT_ROOT_TOL,
     family: str = PT_DIRICHLET,
 ) -> list[SecularRoot]:
-    """Locate all roots of the family's secular function on (k_min, k_max].
+    """Locate all real roots of the family's secular function on (k_min, k_max].
+
+    Only the real axis is searched: the off-axis complex-conjugate roots that
+    the PT families have on generic graphs are not reported.
 
     Works on the pole lattice, the merged sine zeros n pi / L_j. A zero that
     two or more bonds share is a root and is returned once, at the pole.
@@ -395,7 +412,7 @@ def build_basis(
     tol: float = DEFAULT_ROOT_TOL,
     resolution: int = DEFAULT_RESOLUTION,
 ) -> SpectralBasis:
-    """Find all roots on (0, k_max] and build eigenmodes at the regular ones."""
+    """Find all real roots on (0, k_max] and build eigenmodes at the regular ones."""
     roots = find_roots(graph, 0.0, k_max, tol, family=family)
     modes = tuple(
         eigenmode(r.k, family, graph, resolution) for r in roots if not r.degenerate

@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,12 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ptgraph import cli
 from util import GOLDEN_K1
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def run_cli(*args: str, text: bool = True) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "ptgraph", *args]
-    return subprocess.run(cmd, capture_output=True, text=True)
+    return subprocess.run(cmd, capture_output=True, text=text)
 
 
 def data_rows(text: str) -> list[str]:
@@ -135,6 +137,16 @@ class TestModes:
         cp = run_cli("modes", "--lengths", "1,1.5,2", "--family", "nonsense")
         assert cp.returncode == 2
 
+    def test_failed_norm_check_writes_nothing(self, tmp_path: Path):
+        # the mode at k = 121.72 fails its norm check at 2001 points per bond
+        args = ("modes", "--lengths", "1,1.3,1.7", "--kmax", "122")
+        cp = run_cli(*args)
+        assert cp.returncode == 1 and "NormalizationError" in cp.stderr
+        assert cp.stdout == ""
+        cp = run_cli(*args, "--out", str(tmp_path / "m.csv"))
+        assert cp.returncode == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestEvolve:
     def test_pt_current_breaks_kirchhoff_rule(self, tmp_path: Path):
@@ -189,6 +201,7 @@ class TestEvolve:
         )
         assert cp.returncode == 2
         assert "--coeffs" in cp.stderr
+        assert cp.stdout == ""
 
     def test_explicit_coefficient_list(self, tmp_path: Path):
         out = tmp_path / "jl.csv"
@@ -269,6 +282,65 @@ class TestVerify:
         )
         assert cp.returncode == 0
         assert out.read_text() == cp.stdout
+
+
+#: prints the child's own peak RSS (kB) after one CLI run; unlike ru_maxrss
+#: it does not carry over the forking parent's high-water mark
+PEAK_SCRIPT = """import sys, ptgraph.cli as c
+rc = c.main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print([ln.split()[1] for ln in fh if ln.startswith("VmHWM:")][0])
+sys.exit(rc)
+"""
+
+
+def peak_rss_kb(*args: str) -> int:
+    cp = subprocess.run([sys.executable, "-c", PEAK_SCRIPT, *args], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    return int(cp.stdout)
+
+
+class TestOutput:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("spectrum", "--lengths", "1,1.3,1.7", "--kmax", "30", "--family", "pt-neumann"),
+            ("modes", "--lengths", "1,1.3,1.7", "--kmax", "8", "--resolution", "801"),
+            ("evolve", "--lengths", "1,1.3,1.7", "--coeffs", "equal:3", "--tsteps", "50"),
+        ],
+    )
+    def test_stdout_matches_out_file(self, tmp_path: Path, args):
+        out = tmp_path / "a.csv"
+        to_file = run_cli(*args, "--out", str(out), text=False)
+        to_stdout = run_cli(*args, text=False)
+        assert to_file.returncode == 0 and to_stdout.returncode == 0
+        assert to_file.stdout == b""
+        assert out.read_bytes() == to_stdout.stdout
+
+    def test_atomic_write_keeps_target_on_error(self, tmp_path: Path):
+        target = tmp_path / "a.csv"
+        target.write_text("old\n")
+
+        def lines():
+            # more than one write buffer reaches the temporary file first
+            for i in range(20000):
+                yield f"{i},row"
+            raise ValueError("formatting failed")
+
+        with pytest.raises(ValueError):
+            cli._atomic_write(str(target), lines())
+        assert target.read_text() == "old\n"
+        assert list(tmp_path.glob(".ptgraph-*.tmp")) == []
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+    def test_modes_memory_does_not_grow_with_artifact(self, tmp_path: Path):
+        # the artifact is about 6 MB; held in memory it costs several times that
+        common = ("--lengths", "1,1.3,1.7", "--kmax", "26", "--family", "pt-neumann",
+                  "--resolution", "4001")
+        spectrum = peak_rss_kb("spectrum", *common, "--out", str(tmp_path / "s.csv"))
+        modes = peak_rss_kb("modes", *common, "--out", str(tmp_path / "m.csv"))
+        assert (tmp_path / "m.csv").stat().st_size > 5_000_000
+        assert modes - spectrum < 4 * 1024
 
 
 class TestEntryPoints:

@@ -5,6 +5,7 @@ functions directly for any number of bonds; nothing here reaches into the
 library's root-finding internals.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,19 @@ def test_pole_shared_by_five_bonds(kirchhoff):
     lo, hi = 185.0, 192.0
     sign_roots, even_roots = dense_scan_roots(lengths, hi, step=1e-5, kirchhoff=kirchhoff, k_min=lo)
     assert sum(lo < r.k <= hi for r in roots) == len(sign_roots) + len(even_roots)
+
+
+def test_rolle_bound_next_to_a_shared_pole():
+    # the pieces next to the pole 5 pi shared by both bonds have huge
+    # w = L / u, where a Rolle bound built as a difference cancelled and
+    # went negative (invalid value in sqrt)
+    lengths = (1.0, 1.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        roots = pg.find_roots(pg.make_star_graph(lengths), 0.0, 40.0)
+    assert_distinct_roots(roots, lengths, False)
+    sign_roots, even_roots = dense_scan_roots(lengths, 40.0, step=1e-5)
+    assert len(roots) == len(sign_roots) + len(even_roots)
 
 
 #: bond lengths whose ratios are small rationals, so sine zeros coincide
