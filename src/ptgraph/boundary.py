@@ -17,7 +17,8 @@ self-adjoint vertex coupling kept as a Hermitian reference.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -107,26 +108,44 @@ def trig_function(graph: MetricStarGraph, terms: Sequence[Sequence[tuple]]) -> B
     """
     if len(terms) != graph.n_bonds:
         raise DimensionMismatch("one term list per bond required")
+    frozen = tuple(tuple(t) for t in terms)
+    return _from_methods(graph, *(partial(_trig_sum, frozen, order) for order in range(3)))
 
-    def make(fn_terms, order):
-        def f(x, _terms=tuple(fn_terms), _order=order):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros(x.shape, dtype=complex)
-            for a, w, p in _terms:
-                if _order == 0:
-                    out += a * np.sin(w * x + p)
-                elif _order == 1:
-                    out += a * w * np.cos(w * x + p)
-                else:
-                    out += -a * w * w * np.sin(w * x + p)
-            return out if out.shape else complex(out)
 
-        return f
+def _trig_sum(terms, order: int, bond: int, x):
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape, dtype=complex)
+    for a, w, p in terms[bond - 1]:
+        if order == 0:
+            out += a * np.sin(w * x + p)
+        elif order == 1:
+            out += a * w * np.cos(w * x + p)
+        else:
+            out += -a * w * w * np.sin(w * x + p)
+    return out if out.shape else complex(out)
 
-    vals = tuple(make(t, 0) for t in terms)
-    ders = tuple(make(t, 1) for t in terms)
-    secs = tuple(make(t, 2) for t in terms)
-    return BondFunction(graph, vals, ders, secs)
+
+def _from_methods(graph: MetricStarGraph, *methods) -> BondFunction:
+    """BondFunction whose bond-j callables are method(j, x) for the value, the
+    derivative and optionally the second derivative, in that order."""
+    bonds = range(1, graph.n_bonds + 1)
+    return BondFunction(graph, *(tuple(partial(m, j) for j in bonds) for m in methods))
+
+
+def _weighted_sum(coeffs, parts):
+    """sum_i coeffs[i] * parts[i] added in order, as numpy's pairwise sum along
+    an axis rounds differently; with no terms, zeros shaped like one part."""
+    out = None
+    for c, part in zip(coeffs, parts):
+        term = c * np.asarray(part, dtype=complex)
+        out = term if out is None else out + term
+    if out is None:
+        out = np.zeros(np.shape(parts)[1:], dtype=complex)
+    return out if np.ndim(out) else complex(out)
+
+
+def _combination(coeffs, methods, bond, x):
+    return _weighted_sum(coeffs, (method(bond, x) for method in methods))
 
 
 def combine(functions: Sequence[BondFunction], coeffs) -> BondFunction:
@@ -140,33 +159,32 @@ def combine(functions: Sequence[BondFunction], coeffs) -> BondFunction:
     coeffs = tuple(complex(c) for c in coeffs)
     if len(coeffs) != len(functions):
         raise DimensionMismatch("one coefficient per function required")
-    with_second = all(f.has_second_derivs for f in functions)
-
-    def make(bond, kind):
-        def f(x, _b=bond, _k=kind):
-            acc = None
-            for c, fn in zip(coeffs, functions):
-                part = getattr(fn, _k)(_b, x)
-                acc = c * np.asarray(part, dtype=complex) if acc is None else acc + c * np.asarray(part, dtype=complex)
-            return acc if np.ndim(acc) else complex(acc)
-
-        return f
-
-    n = graph.n_bonds
-    vals = tuple(make(b, "value") for b in range(1, n + 1))
-    ders = tuple(make(b, "deriv") for b in range(1, n + 1))
-    secs = tuple(make(b, "second_deriv") for b in range(1, n + 1)) if with_second else None
-    return BondFunction(graph, vals, ders, secs)
+    kinds = [[f.value for f in functions], [f.deriv for f in functions]]
+    if all(f.has_second_derivs for f in functions):
+        kinds.append([f.second_deriv for f in functions])
+    return _from_methods(graph, *(partial(_combination, coeffs, methods) for methods in kinds))
 
 
 def _sample(func: Callable, pts: np.ndarray) -> np.ndarray:
-    """Evaluate a per-bond callable on a grid, tolerating scalar-only callables."""
+    """Evaluate a per-bond callable on a grid; it must return one value per point."""
     out = np.asarray(func(pts), dtype=complex)
-    if out.shape == pts.shape:
-        return out
-    if out.ndim == 0:
-        return np.array([complex(func(float(x))) for x in pts])
-    raise EvaluationFailure(f"callable returned shape {out.shape} for grid of {pts.shape}")
+    if out.shape != pts.shape:
+        raise EvaluationFailure(f"callable returned shape {out.shape} for grid of {pts.shape}")
+    return out
+
+
+def _bond_samples(basis, resolution: int):
+    """Per bond of the basis graph: the bond, its grid points, its Simpson
+    weights and the basis profiles on the grid (modes x points)."""
+    for j in range(1, basis.graph.n_bonds + 1):
+        grid = bond_grid(basis.graph, j, resolution)
+        w = simpson_weights(grid.count, grid.spacing)
+        yield j, grid.points, w, basis.profiles(j, grid.points)
+
+
+def _real_matvec(phi: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """phi @ v for a real matrix and a complex vector, without a complex copy of phi."""
+    return phi @ v.real + 1j * (phi @ v.imag)
 
 
 @dataclass(frozen=True)
@@ -374,35 +392,25 @@ def cpt_inner(
     modes phi~ are the basis modes rescaled by 1/sqrt of their own reflected
     self-product, which is what makes the diagonal values come out positive;
     with unscaled modes the sign of that self-product leaks through. The mode
-    sum is truncated at `truncation` and the result depends on it.
+    sum is truncated at `truncation` and the result depends on it. `basis`
+    is a SpectralBasis on the graph of f and g.
     """
     graph = _check_same_graph(f, g)
     if truncation < 1:
         raise InsufficientBasis(f"truncation must be >= 1, got {truncation}")
-    modes = list(getattr(basis, "modes", basis))[:truncation]
-    if len(modes) < truncation:
+    if len(basis.modes) < truncation:
         raise InsufficientBasis(
-            f"kernel truncated at {truncation} but basis holds only {len(modes)} modes"
+            f"kernel truncated at {truncation} but basis holds only {len(basis.modes)} modes"
         )
-    funcs = [m.as_bond_function() for m in modes]
-    weights = []
-    for bf in funcs:
-        p = pt_inner(bf, bf, resolution)
-        weights.append(1.0 / p)
-
-    total = 0j
-    for j in range(1, graph.n_bonds + 1):
-        grid = bond_grid(graph, j, resolution)
-        lj = graph.length(j)
-        w = simpson_weights(grid.count, grid.spacing)
-        f_refl_conj = np.conj(_sample(f.values[j - 1], lj - grid.points))
-        gv = _sample(g.values[j - 1], grid.points)
-        for wn, bf in zip(weights, funcs):
-            phi = _sample(bf.values[j - 1], grid.points)
-            a = np.dot(w, phi * f_refl_conj)
-            b = np.dot(w, phi * gv)
-            total += wn * a * b
-    return total
+    kernel = replace(basis, modes=basis.modes[:truncation])
+    self_products, products = 0.0, 0j
+    for j, x, w, phi in _bond_samples(kernel, resolution):
+        # reflected self-product: a uniform grid maps x -> L - x onto its reverse
+        self_products += np.einsum("nr,nr,r->n", phi, phi[:, ::-1], w)
+        a = _real_matvec(phi, w * np.conj(_sample(f.values[j - 1], graph.length(j) - x)))
+        b = _real_matvec(phi, w * _sample(g.values[j - 1], x))
+        products += a * b
+    return complex(np.sum(products / self_products))
 
 
 def omega_hermitian(f: BondFunction, g: BondFunction, graph: MetricStarGraph) -> complex:

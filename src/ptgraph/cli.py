@@ -445,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--family", default=PT_DIRICHLET,
                         help="pt-dirichlet | pt-neumann | kirchhoff-ref | custom:<path>")
         sp.add_argument("--kmax", type=float, default=DEFAULT_KMAX, help="upper end of the root window")
-        sp.add_argument("--tol", type=float, default=DEFAULT_TOL, help="root refinement tolerance")
+        sp.add_argument("--tol", type=float, default=DEFAULT_TOL, help="lower cut-off of the root window, excludes k = 0")
         sp.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION,
                         help="points per bond for sampling and quadrature (odd)")
         sp.add_argument("--out", default=None, help="output file (stdout if omitted)")

@@ -17,17 +17,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boundary import BondFunction, l2_inner
+from .boundary import (
+    BondFunction, _bond_samples, _from_methods, _real_matvec, _sample, _weighted_sum
+)
 from .errors import (
     DimensionMismatch,
     EmptyBasis,
     GraphMismatch,
-    OutOfDomain,
     SingularGram,
     UnsortedGrid,
 )
-from .graph import DEFAULT_RESOLUTION, bond_grid, quadrature
-from .spectral import SpectralBasis
+from .graph import DEFAULT_RESOLUTION
+from .spectral import SpectralBasis, _check_domain
 
 #: projection refuses Gram systems beyond this condition number
 GRAM_COND_LIMIT = 1e12
@@ -50,34 +51,22 @@ class WaveState:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
-    def _phased(self) -> np.ndarray:
+    def _phased(self, t) -> np.ndarray:
+        """C_n exp(-i k_n^2 t) for a time t, or one row per time for a column t."""
         ks = np.array([m.k for m in self.basis.modes])
-        return self.coeffs * np.exp(-1j * ks * ks * self.t)
+        out = -1j * ks * ks * t
+        np.exp(out, out=out)
+        return np.multiply(self.coeffs, out, out=out)
 
     def value(self, bond: int, x):
         """psi_bond(x, t) = sum_n C_n exp(-i k_n^2 t) phi_n(bond, x)."""
-        out = None
-        for c, mode in zip(self._phased(), self.basis.modes):
-            part = c * np.asarray(mode.value(bond, x), dtype=complex)
-            out = part if out is None else out + part
-        if out is None:
-            return 0j
-        return out if np.ndim(out) else complex(out)
+        return _weighted_sum(self._phased(self.t), self.basis.profiles(bond, x))
 
     def deriv(self, bond: int, x):
-        out = None
-        for c, mode in zip(self._phased(), self.basis.modes):
-            part = c * np.asarray(mode.deriv(bond, x), dtype=complex)
-            out = part if out is None else out + part
-        if out is None:
-            return 0j
-        return out if np.ndim(out) else complex(out)
+        return _weighted_sum(self._phased(self.t), self.basis.profiles(bond, x, order=1))
 
     def as_bond_function(self) -> BondFunction:
-        n = self.basis.graph.n_bonds
-        vals = tuple((lambda x, _b=b: self.value(_b, x)) for b in range(1, n + 1))
-        ders = tuple((lambda x, _b=b: self.deriv(_b, x)) for b in range(1, n + 1))
-        return BondFunction(self.basis.graph, vals, ders)
+        return _from_methods(self.basis.graph, self.value, self.deriv)
 
 
 @dataclass(frozen=True)
@@ -105,29 +94,19 @@ def project(
         raise EmptyBasis("cannot project onto a basis with no modes")
     if initial.graph != basis.graph:
         raise GraphMismatch("initial state lives on a different graph")
-    funcs = [m.as_bond_function() for m in basis.modes]
-    m = len(funcs)
-    gram = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(i, m):
-            val = l2_inner(funcs[i], funcs[j], resolution)
-            gram[i, j] = val
-            gram[j, i] = np.conj(val)
-    rhs = np.array([l2_inner(initial, f, resolution) for f in funcs])
+    gram, rhs = 0.0, 0j
+    for bond, x, w, phi in _bond_samples(basis, resolution):
+        phi *= np.sqrt(w)  # in place: phi @ phi.T is then this bond's Gram block
+        gram += phi @ phi.T
+        rhs += _real_matvec(phi, np.sqrt(w) * _sample(initial.values[bond - 1], x))
     cond = float(np.linalg.cond(gram))
     if cond > GRAM_COND_LIMIT:
         raise SingularGram(f"Gram condition number {cond:.3g} exceeds {GRAM_COND_LIMIT:g}")
     coeffs = np.linalg.solve(gram, rhs)
-    state = WaveState(basis=basis, coeffs=coeffs, t=0.0)
-
-    graph = basis.graph
     err2 = 0.0
-    for bond in range(1, graph.n_bonds + 1):
-        grid = bond_grid(graph, bond, resolution)
-        target = np.asarray(initial.value(bond, grid.points), dtype=complex)
-        recon = np.asarray(state.value(bond, grid.points), dtype=complex)
-        err2 += quadrature(np.abs(target - recon) ** 2, grid).real
-    return ProjectionResult(state=state, residual=float(np.sqrt(max(err2, 0.0))), gram_cond=cond)
+    for bond, x, w, phi in _bond_samples(basis, resolution):
+        err2 += w @ np.abs(_sample(initial.values[bond - 1], x) - _real_matvec(phi.T, coeffs)) ** 2
+    return ProjectionResult(WaveState(basis, coeffs), residual=float(np.sqrt(err2)), gram_cond=cond)
 
 
 def evolve(state: WaveState, t: float) -> WaveState:
@@ -137,14 +116,10 @@ def evolve(state: WaveState, t: float) -> WaveState:
 
 def bond_current(state: WaveState, bond: int, x: float) -> float:
     """Probability current on one bond at position x and the state's time."""
-    graph = state.basis.graph
-    if not 1 <= bond <= graph.n_bonds:
-        raise OutOfDomain(f"bond {bond} not in 1..{graph.n_bonds}")
-    if not 0.0 <= x <= graph.length(bond):
-        raise OutOfDomain(f"x = {x} outside [0, {graph.length(bond)}] on bond {bond}")
+    _check_domain(state.basis.graph, bond, x)
     psi = complex(state.value(bond, float(x)))
     dpsi = complex(state.deriv(bond, float(x)))
-    return (psi.conjugate() * dpsi).imag
+    return psi.real * dpsi.imag - psi.imag * dpsi.real
 
 
 class VertexCurrent(NamedTuple):
@@ -152,11 +127,21 @@ class VertexCurrent(NamedTuple):
     per_bond: np.ndarray
 
 
+def _vertex_currents(state: WaveState, times: np.ndarray) -> np.ndarray:
+    """bond_current at x = 0 on every bond, shape (times, bonds). Real arithmetic,
+    because numpy's complex multiply rounds differently from Python's."""
+    phased, basis = state._phased(times[:, None]).T, state.basis
+    out = np.empty((times.size, basis.graph.n_bonds))
+    for bond in range(1, basis.graph.n_bonds + 1):
+        psi = _weighted_sum(phased, basis.profiles(bond, 0.0))
+        dpsi = _weighted_sum(phased, basis.profiles(bond, 0.0, order=1))
+        out[:, bond - 1] = psi.real * dpsi.imag - psi.imag * dpsi.real
+    return out
+
+
 def vertex_current(state: WaveState) -> VertexCurrent:
     """Total current into the vertex with its per-bond breakdown."""
-    per_bond = np.array(
-        [bond_current(state, b, 0.0) for b in range(1, state.basis.graph.n_bonds + 1)]
-    )
+    per_bond = _vertex_currents(state, np.array([state.t]))[0]
     return VertexCurrent(total=float(per_bond.sum()), per_bond=per_bond)
 
 
@@ -179,11 +164,6 @@ def current_series(state: WaveState, t_grid) -> CurrentSeries:
         raise UnsortedGrid("time grid must be one-dimensional")
     if times.size and np.any(np.diff(times) <= 0):
         raise UnsortedGrid("time grid must be strictly increasing")
-    n = state.basis.graph.n_bonds
-    total = np.empty(times.size)
-    per_bond = np.empty((n, times.size))
-    for i, t in enumerate(times):
-        vc = vertex_current(evolve(state, float(t)))
-        total[i] = vc.total
-        per_bond[:, i] = vc.per_bond
-    return CurrentSeries(times=times.copy(), total=total, per_bond=per_bond)
+    currents = _vertex_currents(state, times)
+    # summing each row along its contiguous axis matches vertex_current bit for bit
+    return CurrentSeries(times=times.copy(), total=currents.sum(axis=1), per_bond=currents.T)

@@ -24,6 +24,7 @@ from .boundary import (
     PT_DIRICHLET,
     PT_NEUMANN,
     BondFunction,
+    _from_methods,
     l2_inner,
 )
 from .errors import (
@@ -50,11 +51,12 @@ DEGENERATE_SINE_TOL = 1e-8
 MODE_ROOT_TOL = 1e-9
 #: tolerance of the closed-form-vs-quadrature norm cross-check
 NORM_CHECK_TOL = 1e-8
+#: largest k times grid spacing of the norm check when no resolution is given
+NORM_CHECK_K_SPACING = 0.05
 #: most PT pieces tested per vectorised step
 _BATCH = 256
 
 _SIN_FAMILIES = (PT_DIRICHLET, KIRCHHOFF_REF)
-_ALL_FAMILIES = (PT_DIRICHLET, PT_NEUMANN, KIRCHHOFF_REF)
 
 
 def _cofactor_sum(k, graph: MetricStarGraph, weighted: bool):
@@ -264,6 +266,18 @@ def find_roots(
     ]
 
 
+def _profile(k, norm_const, sine, L, x, sin_profile: bool, order: int):
+    """norm_const * f(k (L - x)) / sine (order 0) or its x-derivative (order 1),
+    with f = sin for the sine-profile families and cos otherwise, built in one
+    array. Every argument broadcasts. The order (scale * f) / sine is that of
+    the closed form; printed roundoff depends on it."""
+    out = np.asarray(k * (L - x), dtype=float)
+    (np.sin if sin_profile == (order == 0) else np.cos)(out, out=out)
+    out *= norm_const if order == 0 else (-k if sin_profile else k) * norm_const
+    out /= sine
+    return out[()]
+
+
 @dataclass(frozen=True)
 class EigenMode:
     """One eigen-wavenumber with its closed-form bond profile.
@@ -277,49 +291,31 @@ class EigenMode:
     family: str
     norm_const: float
     graph: MetricStarGraph
-    degenerate_flag: bool = False
+
+    def _on_bond(self, bond: int, x, order: int):
+        lj = self.graph.length(bond)
+        s = math.sin(self.k * lj)
+        return _profile(self.k, self.norm_const, s, lj, x, self.family in _SIN_FAMILIES, order)
 
     def value(self, bond: int, x):
-        lj = self.graph.length(bond)
-        s = math.sin(self.k * lj)
-        if self.family in _SIN_FAMILIES:
-            return self.norm_const * np.sin(self.k * (lj - np.asarray(x))) / s
-        return self.norm_const * np.cos(self.k * (lj - np.asarray(x))) / s
+        return self._on_bond(bond, x, 0)
 
     def deriv(self, bond: int, x):
-        lj = self.graph.length(bond)
-        s = math.sin(self.k * lj)
-        if self.family in _SIN_FAMILIES:
-            return -self.k * self.norm_const * np.cos(self.k * (lj - np.asarray(x))) / s
-        return self.k * self.norm_const * np.sin(self.k * (lj - np.asarray(x))) / s
+        return self._on_bond(bond, x, 1)
+
+    def second_deriv(self, bond: int, x):
+        return -(self.k * self.k) * self.value(bond, x)
 
     def as_bond_function(self) -> BondFunction:
         """Adapter with analytic derivatives (f'' = -k^2 f)."""
-        k2 = self.k * self.k
-
-        def val(b):
-            return lambda x: self.value(b, x)
-
-        def der(b):
-            return lambda x: self.deriv(b, x)
-
-        def sec(b):
-            return lambda x: -k2 * self.value(b, x)
-
-        n = self.graph.n_bonds
-        return BondFunction(
-            self.graph,
-            tuple(val(b) for b in range(1, n + 1)),
-            tuple(der(b) for b in range(1, n + 1)),
-            tuple(sec(b) for b in range(1, n + 1)),
-        )
+        return _from_methods(self.graph, self.value, self.deriv, self.second_deriv)
 
 
 def eigenmode(
     k: float,
     family: str,
     graph: MetricStarGraph,
-    resolution: int = DEFAULT_RESOLUTION,
+    resolution: int | None = None,
 ) -> EigenMode:
     """Build the normalized eigenfunction at a non-degenerate secular root.
 
@@ -330,9 +326,9 @@ def eigenmode(
     (minus for the sine-profile families, plus for the cosine profile), and
     is cross-checked against the quadrature L2 norm at `resolution` points
     per bond; disagreement beyond NORM_CHECK_TOL raises NormalizationError.
+    The default resolution is DEFAULT_RESOLUTION, raised where needed so that
+    k times the grid spacing stays at or below NORM_CHECK_K_SPACING.
     """
-    if family not in _ALL_FAMILIES:
-        raise UnknownFamily(f"cannot build eigenfunctions for family {family!r}")
     sec_fn = _secular_for_family(family)
     resid = abs(float(sec_fn(k, graph)))
     if resid >= MODE_ROOT_TOL:
@@ -349,6 +345,9 @@ def eigenmode(
     )
     norm_const = total ** -0.5
     mode = EigenMode(k=float(k), family=family, norm_const=norm_const, graph=graph)
+    if resolution is None:
+        need = math.ceil(k * max(graph.lengths) / NORM_CHECK_K_SPACING) + 1
+        resolution = max(DEFAULT_RESOLUTION, need) | 1
     bf = mode.as_bond_function()
     n2 = l2_inner(bf, bf, resolution)
     if abs(n2 - 1.0) > NORM_CHECK_TOL:
@@ -361,21 +360,21 @@ def eigenmode(
 
 def evaluate_mode(mode: EigenMode, bond: int, x: float) -> complex:
     """Closed-form mode value at a point of bond `bond` (1-based)."""
-    _check_domain(mode, bond, x)
+    _check_domain(mode.graph, bond, x)
     return complex(mode.value(bond, float(x)))
 
 
 def evaluate_mode_deriv(mode: EigenMode, bond: int, x: float) -> complex:
     """Closed-form x-derivative of the mode (no numerical differencing)."""
-    _check_domain(mode, bond, x)
+    _check_domain(mode.graph, bond, x)
     return complex(mode.deriv(bond, float(x)))
 
 
-def _check_domain(mode: EigenMode, bond: int, x: float):
-    if not 1 <= bond <= mode.graph.n_bonds:
-        raise OutOfDomain(f"bond {bond} not in 1..{mode.graph.n_bonds}")
-    if not 0.0 <= x <= mode.graph.length(bond):
-        raise OutOfDomain(f"x = {x} outside [0, {mode.graph.length(bond)}] on bond {bond}")
+def _check_domain(graph: MetricStarGraph, bond: int, x: float):
+    if not 1 <= bond <= graph.n_bonds:
+        raise OutOfDomain(f"bond {bond} not in 1..{graph.n_bonds}")
+    if not 0.0 <= x <= graph.length(bond):
+        raise OutOfDomain(f"x = {x} outside [0, {graph.length(bond)}] on bond {bond}")
 
 
 @dataclass(frozen=True)
@@ -404,15 +403,27 @@ class SpectralBasis:
     def __len__(self) -> int:
         return len(self.modes)
 
+    def profiles(self, bond: int, x, order: int = 0) -> np.ndarray:
+        """Every mode's value (order 0) or x-derivative (order 1) on one bond,
+        shape (modes,) + shape(x); row n equals modes[n].value / .deriv."""
+        lj = self.graph.length(bond)
+        x = np.asarray(x, dtype=float)
+        column = (-1,) + (1,) * x.ndim
+        k = np.array([m.k for m in self.modes]).reshape(column)
+        norm = np.array([m.norm_const for m in self.modes]).reshape(column)
+        sines = np.array([math.sin(m.k * lj) for m in self.modes]).reshape(column)
+        return _profile(k, norm, sines, lj, x, self.family in _SIN_FAMILIES, order)
+
 
 def build_basis(
     graph: MetricStarGraph,
     family: str,
     k_max: float,
     tol: float = DEFAULT_ROOT_TOL,
-    resolution: int = DEFAULT_RESOLUTION,
+    resolution: int | None = None,
 ) -> SpectralBasis:
-    """Find all real roots on (0, k_max] and build eigenmodes at the regular ones."""
+    """Find all real roots on (0, k_max] and build eigenmodes at the regular
+    ones; `resolution` is passed to the norm check of `eigenmode`."""
     roots = find_roots(graph, 0.0, k_max, tol, family=family)
     modes = tuple(
         eigenmode(r.k, family, graph, resolution) for r in roots if not r.degenerate

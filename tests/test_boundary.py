@@ -232,6 +232,12 @@ class TestInnerProducts:
         with pytest.raises(pg.GraphMismatch):
             pg.l2_inner(pg.zero_function(graph123), pg.zero_function(unit_graph()))
 
+    def test_scalar_for_array_raises(self, graph123):
+        const = lambda x: 1.0
+        f = pg.bond_function(graph123, [const] * 3, [const] * 3)
+        with pytest.raises(pg.EvaluationFailure):
+            pg.l2_inner(f, f)
+
     def test_pt_zero_and_constants(self, graph123):
         z = pg.zero_function(graph123)
         assert pg.pt_inner(z, z) == 0.0

@@ -344,6 +344,14 @@ class TestOutput:
 
 
 class TestEntryPoints:
+    def test_import_loads_no_test_only_packages(self):
+        # scipy, mpmath and hypothesis serve the tests; importing them at run
+        # time would add to every process start
+        code = "import sys, ptgraph; print(sorted({'scipy', 'mpmath', 'hypothesis'} & set(sys.modules)))"
+        cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout.strip() == "[]"
+
     def test_help(self):
         cp = run_cli("--help")
         assert cp.returncode == 0

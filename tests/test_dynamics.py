@@ -78,6 +78,17 @@ class TestProject:
         with pytest.raises(pg.SingularGram):
             pg.project(m.as_bond_function(), bad)
 
+    def test_matches_gram_solve_by_quadrature(self, basis_inc_d, graph_inc):
+        rng = np.random.default_rng(5)
+        terms = [[(complex(*rng.normal(size=2)), rng.uniform(0.5, 6.0), rng.uniform(0.0, 6.0))
+                  for _ in range(3)] for _ in range(3)]
+        target = pg.trig_function(graph_inc, terms)
+        funcs = [m.as_bond_function() for m in basis_inc_d.modes]
+        gram = np.array([[pg.l2_inner(f, g) for g in funcs] for f in funcs])
+        rhs = np.array([pg.l2_inner(target, f) for f in funcs])
+        res = pg.project(target, basis_inc_d)
+        assert np.max(np.abs(res.state.coeffs - np.linalg.solve(gram, rhs))) < 1e-10
+
     def test_reconstruction_of_random_combinations(self, basis123_d):
         rng = np.random.default_rng(23)
         for _ in range(5):
@@ -200,6 +211,21 @@ class TestCurrentSeries:
         series = pg.current_series(equal_state(basis123_d), np.linspace(0.0, 0.5, 20))
         assert np.array_equal(series.total, series.per_bond.sum(axis=0))
 
+    @pytest.mark.parametrize("n_bonds", [3, 10])
+    def test_equals_vertex_current_at_each_time(self, n_bonds, basis123_d):
+        if n_bonds == 3:
+            basis = basis123_d
+        else:
+            lengths = [1.0, 1.13, 1.29, 1.41, 1.57, 1.66, 1.79, 1.83, 1.97, 2.11]
+            basis = pg.build_basis(pg.make_star_graph(lengths), pg.PT_NEUMANN, 8.0)
+        m = len(basis.modes)
+        s = pg.WaveState(basis=basis, coeffs=np.exp(0.7j * np.arange(m)) / (1.0 + np.arange(m)))
+        series = pg.current_series(s, np.linspace(0.0, 1.0, 40))
+        for i, t in enumerate(series.times):
+            vc = pg.vertex_current(pg.evolve(s, t))
+            assert series.total[i] == vc.total
+            assert np.array_equal(series.per_bond[:, i], vc.per_bond)
+
     def test_scaling_is_quadratic(self, basis123_d):
         base = pg.evolve(equal_state(basis123_d), 0.33)
         j0 = pg.vertex_current(base).total
@@ -207,6 +233,26 @@ class TestCurrentSeries:
             scaled = pg.WaveState(basis=basis123_d, coeffs=alpha * base.coeffs, t=base.t)
             j = pg.vertex_current(scaled).total
             assert j == pytest.approx(abs(alpha) ** 2 * j0, rel=1e-12)
+
+
+class TestWaveStateEvaluation:
+    def test_scalar_point_matches_array_evaluation(self, basis_inc_d):
+        # more than 8 modes: a pairwise sum over modes would round differently
+        m = len(basis_inc_d.modes)
+        assert m >= 8
+        s = pg.WaveState(basis=basis_inc_d, coeffs=np.exp(1.3j * np.arange(m)), t=0.29)
+        for bond in (1, 2, 3):
+            xs = np.linspace(0.0, basis_inc_d.graph.length(bond), 33)
+            values, derivs = s.value(bond, xs), s.deriv(bond, xs)
+            for i, x in enumerate(xs):
+                assert s.value(bond, float(x)) == values[i]
+                assert s.deriv(bond, float(x)) == derivs[i]
+
+    def test_empty_basis_evaluates_to_zero(self, graph123):
+        s = pg.WaveState(basis=pg.build_basis(graph123, pg.PT_DIRICHLET, 1.5), coeffs=[])
+        assert s.value(1, 0.2) == 0j
+        assert np.array_equal(s.value(1, np.linspace(0.0, 1.0, 7)), np.zeros(7))
+        assert pg.l2_inner(s.as_bond_function(), s.as_bond_function()) == 0.0
 
 
 class TestWaveStateValidation:

@@ -229,9 +229,33 @@ class TestBuildBasis:
         assert len(basis_inc_d.modes) == 20
         assert len(basis_inc_n.modes) == 20
 
+    def test_default_resolution_follows_k(self):
+        # a fixed 2001-point norm check fails at k = 121.72 on these lengths
+        basis = pg.build_basis(pg.make_star_graph([1, 1.3, 1.7]), pg.PT_DIRICHLET, 200.0)
+        assert basis.modes[-1].k > 190.0
+
     def test_basis_invariant_enforced(self, basis123_d):
         m = basis123_d.modes
         with pytest.raises(pg.DimensionMismatch):
             pg.SpectralBasis(
                 modes=(m[1], m[0]), family=pg.PT_DIRICHLET, k_max=20.0, graph=basis123_d.graph
             )
+
+
+class TestProfiles:
+    @pytest.mark.parametrize("name", ["basis123_d", "basis123_n", "basis123_k"])
+    def test_rows_equal_mode_evaluation(self, name, request):
+        basis = request.getfixturevalue(name)
+        for bond in (1, 2, 3):
+            xs = np.linspace(0.0, basis.graph.length(bond), 101)
+            for x in (xs, 0.0, 0.37):
+                values = basis.profiles(bond, x)
+                derivs = basis.profiles(bond, x, order=1)
+                assert values.shape == derivs.shape == (len(basis.modes),) + np.shape(x)
+                for n, mode in enumerate(basis.modes):
+                    assert np.asarray(mode.value(bond, x)).tobytes() == values[n].tobytes()
+                    assert np.asarray(mode.deriv(bond, x)).tobytes() == derivs[n].tobytes()
+
+    def test_empty_basis(self, graph123):
+        basis = pg.build_basis(graph123, pg.PT_DIRICHLET, 1.5)
+        assert basis.profiles(1, np.linspace(0.0, 1.0, 5)).shape == (0, 5)
