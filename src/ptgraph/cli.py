@@ -389,12 +389,10 @@ def cmd_verify(cfg: RunConfig) -> int:
                     f"|omega_hermitian| over mode pairs < {VERIFY_OMEGA_HERMITIAN_TOL:g}",
                 )
             else:
-                om_max = max(abs(omega_pt(f, g, graph)) for f in funcs for g in funcs)
-                route = max(
-                    abs(omega_pt(f, g, graph) - omega_pt_symplectic(f, g, graph))
-                    for f in funcs
-                    for g in funcs
-                )
+                om = [omega_pt(f, g, graph) for f in funcs for g in funcs]
+                sym = [omega_pt_symplectic(f, g, graph) for f in funcs for g in funcs]
+                om_max = max(map(abs, om))
+                route = max(abs(x - y) for x, y in zip(om, sym))
                 report.append(f"omega_pt_max : {_fmt(om_max, p)}")
                 check(om_max < VERIFY_OMEGA_PT_TOL, f"|omega_pt| over mode pairs < {VERIFY_OMEGA_PT_TOL:g}")
                 report.append(f"omega_route_diff : {_fmt(route, p)}")

@@ -99,6 +99,7 @@ def project(
         phi *= np.sqrt(w)  # in place: phi @ phi.T is then this bond's Gram block
         gram += phi @ phi.T
         rhs += _real_matvec(phi, np.sqrt(w) * _sample(initial.values[bond - 1], x))
+        del phi  # else it stays alive while the generator builds the next bond's matrix
     cond = float(np.linalg.cond(gram))
     if cond > GRAM_COND_LIMIT:
         raise SingularGram(f"Gram condition number {cond:.3g} exceeds {GRAM_COND_LIMIT:g}")
@@ -106,6 +107,7 @@ def project(
     err2 = 0.0
     for bond, x, w, phi in _bond_samples(basis, resolution):
         err2 += w @ np.abs(_sample(initial.values[bond - 1], x) - _real_matvec(phi.T, coeffs)) ** 2
+        del phi
     return ProjectionResult(WaveState(basis, coeffs), residual=float(np.sqrt(err2)), gram_cond=cond)
 
 

@@ -53,8 +53,6 @@ MODE_ROOT_TOL = 1e-9
 NORM_CHECK_TOL = 1e-8
 #: largest k times grid spacing of the norm check when no resolution is given
 NORM_CHECK_K_SPACING = 0.05
-#: most PT pieces tested per vectorised step
-_BATCH = 256
 
 _SIN_FAMILIES = (PT_DIRICHLET, KIRCHHOFF_REF)
 
@@ -152,15 +150,13 @@ def _split_pt(sec, lengths, a, b, fa, fb):
     only, since w is huge next to a pole and a difference would cancel.
     A pole shared by m bonds, where S vanishes to order m - 1, has the end
     value NaN: pieces touching it never pass and, once narrower than
-    DEGENERATE_SINE_TOL / max L, belong to that degenerate root.
+    DEGENERATE_SINE_TOL / max L, belong to that degenerate root. Any other
+    piece that cannot pass (no float midpoint, or S = 0 at both ends) raises.
     """
     narrow = DEGENERATE_SINE_TOL / lengths.max()
     l_sq = lengths * lengths
-    done = [(a[:0], b[:0], fa[:0], fb[:0])]
-    todo = [a, b, fa, fb]
-    while todo[0].size:
-        # a bounded batch at a time keeps the (pieces x bonds) arrays small
-        (a, b, fa, fb), todo = [x[:_BATCH] for x in todo], [x[_BATCH:] for x in todo]
+    done = []
+    while True:  # one level: every undecided piece is tested, then halved
         h = b - a
         u = np.abs(np.sin(a[:, None] * lengths)) + np.abs(np.sin(b[:, None] * lengths))
         u = np.minimum(1.0, 0.5 * (u + lengths * h[:, None]))
@@ -174,16 +170,17 @@ def _split_pt(sec, lengths, a, b, fa, fb):
         done.append((a[simple], b[simple], fa[simple], fb[simple]))
         pinned = (h < narrow) & (np.isnan(fa) | np.isnan(fb))
         a, b, fa, fb = (x[~simple & ~pinned] for x in (a, b, fa, fb))
+        if not a.size:
+            return (np.concatenate(x) for x in zip(*done))
         m = 0.5 * (a + b)
-        if np.any((m <= a) | (m >= b)):
+        stuck = (m <= a) | (m >= b) | ((fa == 0.0) & (fb == 0.0))
+        if np.any(stuck):
             raise EvaluationFailure(
-                f"roots of the secular function near k = {a[0]:.17g} cannot be "
+                f"roots of the secular function near k = {a[stuck][0]:.17g} cannot be "
                 "separated in floating point"
             )
         fm = sec(m)
-        # the halves [a, m] and [m, b] join the queue
-        todo = [np.concatenate(x) for x in zip(todo, (a, m, fa, fm), (m, b, fm, fb))]
-    return (np.concatenate(x) for x in zip(*done))
+        a, b, fa, fb = (np.concatenate(x) for x in zip((a, m, fa, fm), (m, b, fm, fb)))
 
 
 def _bisect(sec, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray:
@@ -231,7 +228,9 @@ def find_roots(
     to the floating-point floor, so `tol` only sets the lower cut-off
     max(k_min, tol) that excludes k = 0. A root is flagged degenerate when
     some |sin(k L_j)| < DEGENERATE_SINE_TOL. Roots that cannot be separated
-    in floating point raise EvaluationFailure.
+    in floating point raise EvaluationFailure naming a k near them: a root of
+    even order off the lattice (k = pi on lengths (1.5, 0.5)), or a band
+    where S rounds to exactly 0 next to a pole shared by several bonds.
     """
     if not (math.isfinite(k_min) and math.isfinite(k_max)) or k_min < 0 or k_min >= k_max:
         raise InvalidWindow(f"need 0 <= k_min < k_max, got [{k_min}, {k_max}]")

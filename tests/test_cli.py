@@ -11,9 +11,9 @@ from ptgraph import cli
 from util import GOLDEN_K1
 
 
-def run_cli(*args: str, text: bool = True) -> subprocess.CompletedProcess:
+def run_cli(*args: str, text: bool = True, timeout: float | None = None) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "ptgraph", *args]
-    return subprocess.run(cmd, capture_output=True, text=text)
+    return subprocess.run(cmd, capture_output=True, text=text, timeout=timeout)
 
 
 def data_rows(text: str) -> list[str]:
@@ -50,6 +50,14 @@ class TestSpectrum:
         k, flag = rows[1].split(",")[1:]
         assert flag == "true"
         assert abs(float(k) - math.pi) < 1e-6
+
+    def test_inseparable_roots_fail_without_output(self, tmp_path: Path):
+        # S = 2 sin k cos(k / 2) has a double root at pi that no sign change shows
+        out = tmp_path / "r.csv"
+        cp = run_cli("spectrum", "--lengths", "1.5,0.5", "--kmax", "4", "--out", str(out), timeout=10)
+        assert cp.returncode == 1
+        assert "EvaluationFailure" in cp.stderr and "k = 3.14159" in cp.stderr
+        assert cp.stdout == "" and list(tmp_path.iterdir()) == []
 
     def test_deterministic_output(self, tmp_path: Path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

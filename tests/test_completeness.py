@@ -5,6 +5,9 @@ functions directly for any number of bonds; nothing here reaches into the
 library's root-finding internals.
 """
 import math
+import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -93,3 +96,26 @@ def test_near_commensurate_counts_match_dense_scan(bonds, kirchhoff):
     roots = pg.find_roots(pg.make_star_graph(lengths), lo, hi, family=family_of(kirchhoff))
     assert len(roots) == len(sign_roots)
     assert_distinct_roots(roots, lengths, kirchhoff)
+
+
+@pytest.mark.parametrize(
+    "lengths,k_min,k_max,k_stuck",
+    [
+        # S = 2 sin k cos(k / 2): a double root at pi, off the pole lattice
+        ((1.5, 0.5), 0.0, 4.0, math.pi),
+        # S vanishes to fourth order at the triple pole 2 pi and rounds to
+        # exactly 0 in a band about 2e-8 wide next to it
+        ((0.5, 1.0, 1.0), 0.0, 20.0, 2 * math.pi),
+        # with x = k / 2, S = sin 3x (sin 3x sin 5x + 2 sin x sin 5x + sin x sin 3x),
+        # whose second factor is even about x = pi / 2: a double root at pi
+        ((0.5, 1.5, 1.5, 2.5), 3.0, 4.0, math.pi),
+    ],
+)
+def test_inseparable_roots_raise(lengths, k_min, k_max, k_stuck):
+    # in a subprocess with a timeout, so that a root finder that never
+    # returns fails this test instead of hanging the suite
+    code = f"import ptgraph as pg; pg.find_roots(pg.make_star_graph({list(lengths)}), {k_min}, {k_max})"
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=10)
+    last = cp.stderr.strip().splitlines()[-1]
+    assert last.startswith("ptgraph.errors.EvaluationFailure")
+    assert float(re.search(r"near k = (\S+)", last).group(1)) == pytest.approx(k_stuck, abs=1e-6)

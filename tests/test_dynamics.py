@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +98,21 @@ class TestProject:
             target = pg.combine([m.as_bond_function() for m in basis123_d.modes[:3]], coeffs)
             res = pg.project(target, basis123_d)
             assert res.residual < 1e-6
+
+    def test_holds_one_profile_matrix_at_a_time(self, graph_inc):
+        n_modes, resolution = 30, 4001
+        basis = pg.build_basis(graph_inc, pg.PT_DIRICHLET, 60.0, resolution=2001)
+        basis = dataclasses.replace(basis, modes=basis.modes[:n_modes])
+        target = pg.combine([m.as_bond_function() for m in basis.modes[:3]], [1.0, 0.5j, -0.3])
+        tracemalloc.start()
+        try:
+            res = pg.project(target, basis, resolution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.residual < 1e-12
+        # one (modes x points) float matrix is n_modes * resolution * 8 bytes
+        assert peak < 1.8 * n_modes * resolution * 8
 
 
 class TestEvolve:

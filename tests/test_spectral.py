@@ -64,6 +64,19 @@ class TestSecular:
             prod = np.prod(sines)
             assert pg.secular_kirchhoff(float(k), graph123) == pytest.approx(cot * prod, rel=1e-10)
 
+    @pytest.mark.parametrize("fn", [pg.secular, pg.secular_kirchhoff])
+    def test_value_does_not_depend_on_batch(self, fn):
+        # find_roots evaluates the same points in batches of varying size; its
+        # roots keep their bits only if a value does not depend on its batch
+        rng = np.random.default_rng(17)
+        for n in range(2, 13):
+            g = pg.make_star_graph(list(rng.uniform(0.3, 3.0, n)))
+            ks = 200.0 * (1.0 - rng.random(600))  # (0, 200]
+            ref = np.array([fn(float(k), g) for k in ks])
+            for size in (1, 7, 256, 600):
+                got = np.concatenate([fn(ks[i : i + size], g) for i in range(0, ks.size, size)])
+                assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), (n, size)
+
 
 class TestFindRoots:
     def test_golden_window(self, graph123):
