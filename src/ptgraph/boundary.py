@@ -410,6 +410,7 @@ def cpt_inner(
         a = _real_matvec(phi, w * np.conj(_sample(f.values[j - 1], graph.length(j) - x)))
         b = _real_matvec(phi, w * _sample(g.values[j - 1], x))
         products += a * b
+        del phi  # else it stays alive while the generator builds the next bond's matrix
     return complex(np.sum(products / self_products))
 
 

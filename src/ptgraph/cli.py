@@ -212,9 +212,7 @@ def cmd_modes(cfg: RunConfig) -> int:
     basis = build_basis(cfg.graph, cfg.family, cfg.k_max, tol=cfg.tol, resolution=cfg.resolution)
     lines = _config_comments(cfg, "modes")
     for n, mode in enumerate(basis.modes, start=1):
-        bf = mode.as_bond_function()
-        norm = l2_inner(bf, bf, cfg.resolution).real
-        lines.append(f"# norm_check,{n},{_fmt(norm, cfg.precision)}")
+        lines.append(f"# norm_check,{n},{_fmt(mode.norm_check, cfg.precision)}")
     lines.append("n,bond,x,re_psi,im_psi")
 
     def rows():

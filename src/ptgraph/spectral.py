@@ -15,7 +15,7 @@ from basis construction and reported separately.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,6 +53,8 @@ MODE_ROOT_TOL = 1e-9
 NORM_CHECK_TOL = 1e-8
 #: largest k times grid spacing of the norm check when no resolution is given
 NORM_CHECK_K_SPACING = 0.05
+#: most (pieces x bonds) elements the Rolle test of one level holds at once
+_ROLLE_SLICE = 4096
 
 _SIN_FAMILIES = (PT_DIRICHLET, KIRCHHOFF_REF)
 
@@ -136,6 +138,27 @@ def _e1_e2_left(w: np.ndarray):
     return e1, e2
 
 
+def _rolle_bound(a, b, h, lengths):
+    """Bound M on |S''| over each piece [a, b] of width h (see _split_pt),
+    evaluated over consecutive slices of at most _ROLLE_SLICE (pieces x bonds)
+    elements. Every step works row by row, so the bound of each piece does not
+    depend on the slice size."""
+    l_sq = lengths * lengths
+    rows = max(1, _ROLLE_SLICE // lengths.size)
+    bound = np.empty(a.size)
+    for start in range(0, a.size, rows):
+        s = slice(start, start + rows)
+        u = np.abs(np.sin(a[s, None] * lengths)) + np.abs(np.sin(b[s, None] * lengths))
+        u = np.minimum(1.0, 0.5 * (u + lengths * h[s, None]))
+        w = lengths / u
+        # T = all bonds but j: e2_T = e2(left of j) + e2(right of j) + e1(left) e1(right)
+        e1_l, e2_l = _e1_e2_left(w)
+        e1_r, e2_r = (x[:, ::-1] for x in _e1_e2_left(w[:, ::-1]))
+        others = np.prod(u, axis=1, keepdims=True) / u
+        bound[s] = np.sum(others * (l_sq.sum() - l_sq + 2.0 * (e2_l + e2_r + e1_l * e1_r)), axis=1)
+    return bound
+
+
 def _split_pt(sec, lengths, a, b, fa, fb):
     """Halve the pieces [a, b] of the PT secular function S until each holds
     at most one root; returns the pieces with their end values.
@@ -148,24 +171,17 @@ def _split_pt(sec, lengths, a, b, fa, fb):
     |P''| <= prod_T u * (sum_T L^2 + 2 e2_T(w)) for w = L / u, with e2 the
     second elementary symmetric sum; it is built from non-negative terms
     only, since w is huge next to a pole and a difference would cancel.
-    A pole shared by m bonds, where S vanishes to order m - 1, has the end
+    A pole shared by m bonds, where S vanishes to order at least m - 1 (to
+    order four at the triple pole 2 pi of lengths (0.5, 1, 1)), has the end
     value NaN: pieces touching it never pass and, once narrower than
     DEGENERATE_SINE_TOL / max L, belong to that degenerate root. Any other
     piece that cannot pass (no float midpoint, or S = 0 at both ends) raises.
     """
     narrow = DEGENERATE_SINE_TOL / lengths.max()
-    l_sq = lengths * lengths
     done = []
     while True:  # one level: every undecided piece is tested, then halved
         h = b - a
-        u = np.abs(np.sin(a[:, None] * lengths)) + np.abs(np.sin(b[:, None] * lengths))
-        u = np.minimum(1.0, 0.5 * (u + lengths * h[:, None]))
-        w = lengths / u
-        # T = all bonds but j: e2_T = e2(left of j) + e2(right of j) + e1(left) e1(right)
-        e1_l, e2_l = _e1_e2_left(w)
-        e1_r, e2_r = (x[:, ::-1] for x in _e1_e2_left(w[:, ::-1]))
-        others = np.prod(u, axis=1, keepdims=True) / u
-        bound = np.sum(others * (l_sq.sum() - l_sq + 2.0 * (e2_l + e2_r + e1_l * e1_r)), axis=1)
+        bound = _rolle_bound(a, b, h, lengths)
         simple = np.sqrt(np.abs(fa)) + np.sqrt(np.abs(fb)) > h * np.sqrt(0.5 * bound)
         done.append((a[simple], b[simple], fa[simple], fb[simple]))
         pinned = (h < narrow) & (np.isnan(fa) | np.isnan(fb))
@@ -222,7 +238,9 @@ def find_roots(
       at its ends; only the window ends are evaluated.
     - PT: sum_j csc(k L_j) has no root where all sines share a sign; the
       other intervals are halved until a Rolle bound on S'' leaves at most
-      one root per piece.
+      one root per piece. The pieces of one level are tested together, in
+      slices of at most _ROLLE_SLICE (pieces x bonds) elements, so the
+      working memory of the test does not grow with pieces x bonds.
 
     A sign change brackets that root, and all brackets are bisected together
     to the floating-point floor, so `tol` only sets the lower cut-off
@@ -284,12 +302,15 @@ class EigenMode:
     The profile is norm_const * sin(k (L_j - x)) / sin(k L_j) for the
     value-continuity families and the cosine analog for the derivative-
     continuity family; norm_const makes the graph L2 norm exactly one.
+    `norm_check` is the quadrature norm that eigenmode() checked this
+    against (None for a mode built directly).
     """
 
     k: float
     family: str
     norm_const: float
     graph: MetricStarGraph
+    norm_check: float | None = field(default=None, compare=False)
 
     def _on_bond(self, bond: int, x, order: int):
         lj = self.graph.length(bond)
@@ -354,7 +375,7 @@ def eigenmode(
             f"quadrature norm {n2.real:.12g} deviates from 1 beyond {NORM_CHECK_TOL:g} "
             f"(resolution {resolution} too coarse for k = {k:g}?)"
         )
-    return mode
+    return replace(mode, norm_check=n2.real)
 
 
 def evaluate_mode(mode: EigenMode, bond: int, x: float) -> complex:

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ptgraph import cli
+import ptgraph as pg
+from ptgraph import cli, spectral
 from util import GOLDEN_K1
 
 
@@ -125,6 +126,39 @@ class TestModes:
                 end_rows += 1
                 assert float(re_psi) == 0.0 and float(im_psi) == 0.0
         assert end_rows == 6  # one per bond per mode
+
+    def test_norm_checks_come_from_the_basis(self, tmp_path: Path, monkeypatch):
+        # the printed norm checks are the ones build_basis ran: no quadrature after it
+        calls = []
+        build_basis, l2_inner = cli.build_basis, cli.l2_inner
+
+        def traced_build_basis(*args, **kwargs):
+            basis = build_basis(*args, **kwargs)
+            calls.append("build_basis")
+            return basis
+
+        def traced_l2_inner(*args, **kwargs):
+            calls.append("l2_inner")
+            return l2_inner(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_basis", traced_build_basis)
+        monkeypatch.setattr(cli, "l2_inner", traced_l2_inner)
+        monkeypatch.setattr(spectral, "l2_inner", traced_l2_inner)
+        out = tmp_path / "modes.csv"
+        argv = ["modes", "--lengths", "1,1.3,1.7", "--kmax", "20", "--family", "pt-neumann",
+                "--resolution", "801", "--precision", "17", "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert calls[-1] == "build_basis" and calls.count("l2_inner") > 0
+        monkeypatch.undo()
+        basis = pg.build_basis(pg.make_star_graph([1.0, 1.3, 1.7]), pg.PT_NEUMANN, 20.0,
+                               resolution=801)
+        want = []
+        for n, mode in enumerate(basis.modes, start=1):
+            bf = mode.as_bond_function()
+            want.append(f"# norm_check,{n},{cli._fmt(pg.l2_inner(bf, bf, 801).real, 17)}")
+        got = [ln for ln in out.read_text().splitlines() if ln.startswith("# norm_check,")]
+        assert len(got) == len(basis.modes) > 5
+        assert got == want
 
     def test_kirchhoff_family_not_allowed(self):
         cp = run_cli("modes", "--lengths", "1,1.5,2", "--family", "kirchhoff-ref")

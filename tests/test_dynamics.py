@@ -115,6 +115,22 @@ class TestProject:
         assert peak < 1.8 * n_modes * resolution * 8
 
 
+class TestCptInner:
+    def test_holds_one_profile_matrix_at_a_time(self, graph_inc):
+        n_modes, resolution = 30, 4001
+        basis = pg.build_basis(graph_inc, pg.PT_DIRICHLET, 60.0, resolution=2001)
+        f = pg.combine([m.as_bond_function() for m in basis.modes[:3]], [1.0, 0.5j, -0.3])
+        tracemalloc.start()
+        try:
+            val = pg.cpt_inner(f, f, basis, truncation=n_modes, resolution=resolution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert val.real > 0.0
+        # one (modes x points) float matrix is n_modes * resolution * 8 bytes
+        assert peak < 1.8 * n_modes * resolution * 8
+
+
 class TestEvolve:
     def test_time_zero_identity(self, basis123_d):
         s = equal_state(basis123_d)

@@ -1,10 +1,12 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import ptgraph as pg
+from ptgraph import spectral
 from util import (
     GOLDEN_K1,
     GOLDEN_KIRCHHOFF_123,
@@ -133,6 +135,36 @@ class TestFindRoots:
         assert np.allclose(regular[:5], GOLDEN_KIRCHHOFF_123, atol=1e-9)
         for r in roots:
             assert abs(pg.secular_kirchhoff(r.k, graph123)) < 1e-10
+
+    @pytest.mark.parametrize("rows", [1, 7, None], ids=["1-row", "7-rows", "whole-level"])
+    def test_roots_do_not_depend_on_rolle_slice(self, rows, monkeypatch):
+        # the Rolle test of a level runs slice by slice; each piece's bound,
+        # and with it every root bit, must not depend on where slices fall
+        rng = np.random.default_rng(23)
+        families = (pg.PT_DIRICHLET, pg.PT_NEUMANN, pg.KIRCHHOFF_REF)
+        for i in range(21):
+            n = int(rng.integers(2, 17))
+            g = pg.make_star_graph(list(rng.uniform(0.3, 3.0, n)))
+            family = families[i % 3]
+            ref = pg.find_roots(g, 0.0, 30.0, family=family)
+            monkeypatch.setattr(spectral, "_ROLLE_SLICE", rows * n if rows else 2**62)
+            got = pg.find_roots(g, 0.0, 30.0, family=family)
+            monkeypatch.undo()
+            assert [(r.k.hex(), r.degenerate) for r in got] == [
+                (r.k.hex(), r.degenerate) for r in ref
+            ], (g.lengths, family)
+
+    def test_rolle_test_memory_is_bounded_by_the_slice(self):
+        g = pg.make_star_graph(list(np.random.default_rng(5).uniform(1.0, 1.5, 12)))
+        tracemalloc.start()
+        try:
+            roots = pg.find_roots(g, 0.0, 200.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(roots) > 400
+        # a whole level of (pieces x bonds) arrays at once peaks above 4 MB
+        assert peak < 2 * 1024 * 1024
 
 
 class TestEigenmode:
