@@ -205,22 +205,24 @@ class TraceVectors:
         return self.psi.shape[0] // 2
 
 
-def trace_vectors(f: BondFunction, graph: MetricStarGraph) -> TraceVectors:
-    """Collect endpoint values/derivatives of f into the fixed slot layout."""
+def _end_values(f: BondFunction, graph: MetricStarGraph) -> np.ndarray:
+    """(N, 4) table of f_j(0), f_j(L_j), f_j'(0), f_j'(L_j), one row per bond."""
     if f.graph != graph:
         raise GraphMismatch("function was built on a different graph")
-    n = graph.n_bonds
-    psi = np.empty(2 * n, dtype=complex)
-    dpsi = np.empty(2 * n, dtype=complex)
-    for j in range(1, n + 1):
-        lj = graph.length(j)
-        psi[j - 1] = f.value(j, 0.0)
-        psi[n + j - 1] = f.value(j, lj)
-        dpsi[j - 1] = -f.deriv(j, lj)
-        dpsi[n + j - 1] = f.deriv(j, 0.0)
-    if not (np.isfinite(psi).all() and np.isfinite(dpsi).all()):
+    ends = np.array(
+        [[f.value(j, 0.0), f.value(j, lj), f.deriv(j, 0.0), f.deriv(j, lj)]
+         for j, lj in enumerate(graph.lengths, start=1)],
+        dtype=complex,
+    )
+    if not np.isfinite(ends).all():
         raise EvaluationFailure("non-finite endpoint value or derivative")
-    return TraceVectors(psi=psi, dpsi=dpsi)
+    return ends
+
+
+def trace_vectors(f: BondFunction, graph: MetricStarGraph) -> TraceVectors:
+    """Collect endpoint values/derivatives of f into the fixed slot layout."""
+    v0, vl, d0, dl = _end_values(f, graph).T
+    return TraceVectors(psi=np.concatenate([v0, vl]), dpsi=np.concatenate([-dl, d0]))
 
 
 @dataclass(frozen=True)
@@ -421,23 +423,10 @@ def omega_hermitian(f: BondFunction, g: BondFunction, graph: MetricStarGraph) ->
     directly. Vanishes whenever f and g both satisfy a self-adjoint
     condition set such as the Kirchhoff reference family.
     """
-    if f.graph != graph or g.graph != graph:
-        raise GraphMismatch("functions live on a different graph")
+    fe, ge = _end_values(f, graph).tolist(), _end_values(g, graph).tolist()
     total = 0j
-    for j in range(1, graph.n_bonds + 1):
-        lj = graph.length(j)
-        fv0, fvl = complex(f.value(j, 0.0)), complex(f.value(j, lj))
-        fd0, fdl = complex(f.deriv(j, 0.0)), complex(f.deriv(j, lj))
-        gv0, gvl = complex(g.value(j, 0.0)), complex(g.value(j, lj))
-        gd0, gdl = complex(g.deriv(j, 0.0)), complex(g.deriv(j, lj))
-        total += (
-            -fdl * np.conj(gvl)
-            + fvl * np.conj(gdl)
-            + fd0 * np.conj(gv0)
-            - fv0 * np.conj(gd0)
-        )
-    if not np.isfinite(total):
-        raise EvaluationFailure("non-finite endpoint data")
+    for (fv0, fvl, fd0, fdl), (gv0, gvl, gd0, gdl) in zip(fe, ge):
+        total += -fdl * np.conj(gvl) + fvl * np.conj(gdl) + fd0 * np.conj(gv0) - fv0 * np.conj(gd0)
     return complex(total)
 
 
@@ -453,19 +442,10 @@ def omega_pt(f: BondFunction, g: BondFunction, graph: MetricStarGraph) -> comple
 
     Equivalent to omega_pt_symplectic on the trace vectors.
     """
-    if f.graph != graph or g.graph != graph:
-        raise GraphMismatch("functions live on a different graph")
+    fe, ge = _end_values(f, graph).tolist(), _end_values(g, graph).tolist()
     total = 0j
-    for j in range(1, graph.n_bonds + 1):
-        lj = graph.length(j)
-        total += (
-            np.conj(complex(f.deriv(j, 0.0))) * complex(g.value(j, lj))
-            - np.conj(complex(f.deriv(j, lj))) * complex(g.value(j, 0.0))
-            + np.conj(complex(f.value(j, 0.0))) * complex(g.deriv(j, lj))
-            - np.conj(complex(f.value(j, lj))) * complex(g.deriv(j, 0.0))
-        )
-    if not np.isfinite(total):
-        raise EvaluationFailure("non-finite endpoint data")
+    for (fv0, fvl, fd0, fdl), (gv0, gvl, gd0, gdl) in zip(fe, ge):
+        total += np.conj(fd0) * gvl - np.conj(fdl) * gv0 + np.conj(fv0) * gdl - np.conj(fvl) * gd0
     return complex(total)
 
 

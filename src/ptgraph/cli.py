@@ -48,10 +48,9 @@ from .boundary import (
 from .dynamics import WaveState, current_series
 from .errors import PTGraphError
 from .graph import DEFAULT_RESOLUTION, MetricStarGraph, make_star_graph
-from .spectral import build_basis, find_roots
+from .spectral import DEFAULT_ROOT_TOL, build_basis, find_roots
 
 DEFAULT_KMAX = 20.0
-DEFAULT_TOL = 1e-12
 DEFAULT_PRECISION = 12
 
 #: verify thresholds (fixed; the report gates against exactly these)
@@ -73,25 +72,17 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration; mirrors the library preconditions.
+    """Validated run: what `from_args` derives from the flags, and the flags.
 
-    Built from parsed flags by `from_args`, which raises UsageError naming
-    the offending flag on any violation.
+    `from_args` checks the parsed flags against the library preconditions
+    and raises UsageError naming the offending flag on any violation; the
+    commands then read every other flag from `args`.
     """
 
     graph: MetricStarGraph
-    lengths_raw: str
-    family_raw: str
     family: str
     custom_path: Optional[str]
-    k_max: float
-    tol: float
-    resolution: int
-    precision: int
-    output_path: Optional[str]
-    t_max: float = 1.0
-    t_steps: int = 1000
-    coeff_spec: Optional[str] = None
+    args: argparse.Namespace
 
     @classmethod
     def from_args(cls, args, allowed_families) -> "RunConfig":
@@ -113,31 +104,17 @@ class RunConfig:
             raise UsageError("--resolution", f"must be an odd integer >= 3, got {args.resolution}")
         if args.precision < 1 or args.precision > 17:
             raise UsageError("--precision", f"must be in 1..17, got {args.precision}")
-
-        t_max = getattr(args, "tmax", 1.0)
-        t_steps = getattr(args, "tsteps", 1000)
-        coeff_spec = getattr(args, "coeffs", None)
-        if coeff_spec is not None:
-            if not (t_max > 0 and math.isfinite(t_max)):
-                raise UsageError("--tmax", f"must be a positive number, got {t_max}")
-            if t_steps < 2:
-                raise UsageError("--tsteps", f"must be an integer >= 2, got {t_steps}")
-
-        return cls(
-            graph=graph,
-            lengths_raw=args.lengths,
-            family_raw=args.family,
-            family=family,
-            custom_path=custom_path,
-            k_max=args.kmax,
-            tol=args.tol,
-            resolution=args.resolution,
-            precision=args.precision,
-            output_path=args.out,
-            t_max=t_max,
-            t_steps=t_steps,
-            coeff_spec=coeff_spec,
-        )
+        if args.command == "evolve":
+            if not (args.tmax > 0 and math.isfinite(args.tmax)):
+                raise UsageError("--tmax", f"must be a positive number, got {args.tmax}")
+            if args.tsteps < 2:
+                raise UsageError("--tsteps", f"must be an integer >= 2, got {args.tsteps}")
+        if args.out:
+            if os.path.isdir(args.out):
+                raise UsageError("--out", f"{args.out!r} is a directory")
+            if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+                raise UsageError("--out", f"the directory of {args.out!r} does not exist")
+        return cls(graph, family, custom_path, args)
 
     @staticmethod
     def _resolve_family(raw: str, allowed):
@@ -167,6 +144,9 @@ def _atomic_write(path: str, lines: Iterable[str]):
     try:
         with os.fdopen(fd, "w") as fh:
             fh.writelines(line + "\n" for line in lines)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates the file with mode 0600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -183,36 +163,38 @@ def _emit(lines: Iterable[str], out_path):
         sys.stdout.writelines(line + "\n" for line in lines)
 
 
-def _config_comments(cfg: RunConfig, command: str) -> list[str]:
+def _config_comments(args) -> list[str]:
     return [
         f"# ptgraph {__version__}",
-        f"# command: {command}",
-        f"# lengths: {cfg.lengths_raw}",
-        f"# family: {cfg.family_raw}",
-        f"# kmax: {_fmt(cfg.k_max, cfg.precision)}",
-        f"# tol: {_fmt(cfg.tol, cfg.precision)}",
-        f"# resolution: {cfg.resolution}",
-        f"# precision: {cfg.precision}",
+        f"# command: {args.command}",
+        f"# lengths: {args.lengths}",
+        f"# family: {args.family}",
+        f"# kmax: {_fmt(args.kmax, args.precision)}",
+        f"# tol: {_fmt(args.tol, args.precision)}",
+        f"# resolution: {args.resolution}",
+        f"# precision: {args.precision}",
     ]
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    roots = find_roots(cfg.graph, 0.0, cfg.k_max, tol=cfg.tol, family=cfg.family)
-    lines = _config_comments(cfg, "spectrum")
+    a = cfg.args
+    roots = find_roots(cfg.graph, 0.0, a.kmax, tol=a.tol, family=cfg.family)
+    lines = _config_comments(a)
     lines.append("n,k,degenerate")
     rows = (
-        f"{n},{_fmt(r.k, cfg.precision)},{'true' if r.degenerate else 'false'}"
+        f"{n},{_fmt(r.k, a.precision)},{'true' if r.degenerate else 'false'}"
         for n, r in enumerate(roots, start=1)
     )
-    _emit(itertools.chain(lines, rows), cfg.output_path)
+    _emit(itertools.chain(lines, rows), a.out)
     return 0
 
 
 def cmd_modes(cfg: RunConfig) -> int:
-    basis = build_basis(cfg.graph, cfg.family, cfg.k_max, tol=cfg.tol, resolution=cfg.resolution)
-    lines = _config_comments(cfg, "modes")
+    a = cfg.args
+    basis = build_basis(cfg.graph, cfg.family, a.kmax, tol=a.tol, resolution=a.resolution)
+    lines = _config_comments(a)
     for n, mode in enumerate(basis.modes, start=1):
-        lines.append(f"# norm_check,{n},{_fmt(mode.norm_check, cfg.precision)}")
+        lines.append(f"# norm_check,{n},{_fmt(mode.norm_check, a.precision)}")
     lines.append("n,bond,x,re_psi,im_psi")
 
     def rows():
@@ -220,15 +202,15 @@ def cmd_modes(cfg: RunConfig) -> int:
         # grow with the artifact
         for n, mode in enumerate(basis.modes, start=1):
             for bond in range(1, cfg.graph.n_bonds + 1):
-                xs = np.linspace(0.0, cfg.graph.length(bond), cfg.resolution)
+                xs = np.linspace(0.0, cfg.graph.length(bond), a.resolution)
                 vals = np.asarray(mode.value(bond, xs), dtype=complex)
                 for x, v in zip(xs, vals):
                     yield (
-                        f"{n},{bond},{_fmt(x, cfg.precision)},"
-                        f"{_fmt(v.real, cfg.precision)},{_fmt(v.imag, cfg.precision)}"
+                        f"{n},{bond},{_fmt(x, a.precision)},"
+                        f"{_fmt(v.real, a.precision)},{_fmt(v.imag, a.precision)}"
                     )
 
-    _emit(itertools.chain(lines, rows()), cfg.output_path)
+    _emit(itertools.chain(lines, rows()), a.out)
     return 0
 
 
@@ -266,24 +248,24 @@ def _parse_coeffs(raw: str, n_modes: int) -> np.ndarray:
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
-    basis = build_basis(cfg.graph, cfg.family, cfg.k_max, tol=cfg.tol, resolution=cfg.resolution)
-    coeffs = _parse_coeffs(cfg.coeff_spec, len(basis.modes))
+    a = cfg.args
+    basis = build_basis(cfg.graph, cfg.family, a.kmax, tol=a.tol, resolution=a.resolution)
+    coeffs = _parse_coeffs(a.coeffs, len(basis.modes))
     state = WaveState(basis=basis, coeffs=coeffs, t=0.0)
-    times = np.linspace(0.0, cfg.t_max, cfg.t_steps)
-    series = current_series(state, times)
-    lines = _config_comments(cfg, "evolve")
-    lines.append(f"# coeffs: {cfg.coeff_spec}")
-    lines.append(f"# tmax: {_fmt(cfg.t_max, cfg.precision)}")
-    lines.append(f"# tsteps: {cfg.t_steps}")
+    series = current_series(state, np.linspace(0.0, a.tmax, a.tsteps))
+    lines = _config_comments(a)
+    lines.append(f"# coeffs: {a.coeffs}")
+    lines.append(f"# tmax: {_fmt(a.tmax, a.precision)}")
+    lines.append(f"# tsteps: {a.tsteps}")
     lines.append("t,J_total," + ",".join(f"J_{j}" for j in range(1, cfg.graph.n_bonds + 1)))
     rows = (
         ",".join(
-            [_fmt(t, cfg.precision), _fmt(series.total[i], cfg.precision)]
-            + [_fmt(series.per_bond[j, i], cfg.precision) for j in range(cfg.graph.n_bonds)]
+            [_fmt(t, a.precision), _fmt(series.total[i], a.precision)]
+            + [_fmt(series.per_bond[j, i], a.precision) for j in range(cfg.graph.n_bonds)]
         )
         for i, t in enumerate(series.times)
     )
-    _emit(itertools.chain(lines, rows), cfg.output_path)
+    _emit(itertools.chain(lines, rows), a.out)
     return 0
 
 
@@ -313,20 +295,13 @@ def _load_custom_matrices(path: str, n_bonds: int) -> BCMatrices:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    report: list[str] = []
-    failed = False
+    a, graph = cfg.args, cfg.graph
+    p = a.precision
+    report = [f"ptgraph {__version__} verify", f"family  : {a.family}", f"lengths : {a.lengths}"]
 
     def check(ok: bool, label: str):
-        nonlocal failed
         report.append(f"[{'PASS' if ok else 'FAIL'}] {label}")
-        if not ok:
-            failed = True
 
-    p = cfg.precision
-    graph = cfg.graph
-    report.append(f"ptgraph {__version__} verify")
-    report.append(f"family  : {cfg.family_raw}")
-    report.append(f"lengths : {cfg.lengths_raw}")
     n2 = 2 * graph.n_bonds
 
     bc = (
@@ -357,7 +332,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.family == CUSTOM:
         report.append("[INFO] spectral checks need a built-in family; skipped for custom matrices")
     else:
-        basis = build_basis(graph, cfg.family, cfg.k_max, tol=cfg.tol, resolution=cfg.resolution)
+        basis = build_basis(graph, cfg.family, a.kmax, tol=a.tol, resolution=a.resolution)
         modes = basis.modes[:VERIFY_MODE_COUNT]
         report.append(
             f"modes_used : {len(modes)} of {len(basis.modes)} regular "
@@ -399,18 +374,16 @@ def cmd_verify(cfg: RunConfig) -> int:
                     f"boundary vs symplectic route agreement < {VERIFY_OMEGA_ROUTE_TOL:g}",
                 )
 
-            gram = np.empty((len(funcs), len(funcs)), dtype=complex)
-            for i, f in enumerate(funcs):
-                for j, g in enumerate(funcs):
-                    gram[i, j] = l2_inner(f, g, cfg.resolution)
+            gram = np.array([[l2_inner(f, g, a.resolution) for g in funcs] for f in funcs])
             dev = float(np.max(np.abs(gram - np.eye(len(funcs)))))
             report.append(f"gram_max_identity_dev : {_fmt(dev, p)}")
             report.append(f"gram_cond : {_fmt(np.linalg.cond(gram), p)}")
 
+    failed = any(line.startswith("[FAIL]") for line in report)
     report.append(f"result: {'FAIL' if failed else 'PASS'}")
     _emit(report, None)
-    if cfg.output_path:
-        _atomic_write(cfg.output_path, report)
+    if a.out:
+        _atomic_write(a.out, report)
     return 1 if failed else 0
 
 
@@ -436,32 +409,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    for name, help_text in (
+        ("spectrum", "write the secular roots as CSV"),
+        ("modes", "write sampled eigenfunction profiles as CSV"),
+        ("evolve", "write the vertex-current time series as CSV"),
+        ("verify", "run matrix and spectral consistency checks"),
+    ):
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--lengths", required=True, help="comma-separated bond lengths, e.g. 1.0,1.5,2.0")
         sp.add_argument("--family", default=PT_DIRICHLET,
                         help="pt-dirichlet | pt-neumann | kirchhoff-ref | custom:<path>")
         sp.add_argument("--kmax", type=float, default=DEFAULT_KMAX, help="upper end of the root window")
-        sp.add_argument("--tol", type=float, default=DEFAULT_TOL, help="lower cut-off of the root window, excludes k = 0")
+        sp.add_argument("--tol", type=float, default=DEFAULT_ROOT_TOL, help="lower cut-off of the root window, excludes k = 0")
         sp.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION,
                         help="points per bond for sampling and quadrature (odd)")
         sp.add_argument("--out", default=None, help="output file (stdout if omitted)")
         sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
                         help="significant digits in output numbers")
-
-    sp = sub.add_parser("spectrum", help="write the secular roots as CSV")
-    add_common(sp)
-
-    sp = sub.add_parser("modes", help="write sampled eigenfunction profiles as CSV")
-    add_common(sp)
-
-    sp = sub.add_parser("evolve", help="write the vertex-current time series as CSV")
-    add_common(sp)
-    sp.add_argument("--coeffs", required=True, help="equal:<K> or list:<c1,c2,...>")
-    sp.add_argument("--tmax", type=float, default=1.0, help="end of the time window")
-    sp.add_argument("--tsteps", type=int, default=1000, help="number of time samples")
-
-    sp = sub.add_parser("verify", help="run matrix and spectral consistency checks")
-    add_common(sp)
+    evolve = sub.choices["evolve"]
+    evolve.add_argument("--coeffs", required=True, help="equal:<K> or list:<c1,c2,...>")
+    evolve.add_argument("--tmax", type=float, default=1.0, help="end of the time window")
+    evolve.add_argument("--tsteps", type=int, default=1000, help="number of time samples")
 
     return parser
 

@@ -272,6 +272,23 @@ class TestOmegaForms:
         assert pg.omega_pt(z, z, graph123) == 0.0
         assert pg.omega_direct(z, z, pg.HERMITIAN) == 0.0
 
+    @pytest.mark.parametrize("form", [pg.omega_hermitian, pg.omega_pt])
+    def test_function_on_other_graph_rejected(self, form, graph123, graph111):
+        here, there = pg.zero_function(graph123), pg.zero_function(graph111)
+        for f, g in ((there, here), (here, there)):
+            with pytest.raises(pg.GraphMismatch):
+                form(f, g, graph123)
+
+    @pytest.mark.parametrize("form", [pg.omega_hermitian, pg.omega_pt])
+    def test_non_finite_endpoint_rejected(self, form, graph123):
+        bad = lambda x: np.full_like(np.asarray(x, dtype=float), np.nan)
+        zero = lambda x: 0.0 * np.asarray(x)
+        f = pg.bond_function(graph123, [zero] * 3, [zero, zero, bad])
+        z = pg.zero_function(graph123)
+        for args in ((f, z), (z, f)):
+            with pytest.raises(pg.EvaluationFailure):
+                form(*args, graph123)
+
     def test_hermitian_skewness_on_diagonal(self, graph123):
         rng = np.random.default_rng(7)
         f = random_trig(graph123, rng)

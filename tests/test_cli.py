@@ -1,5 +1,6 @@
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import ptgraph as pg
+from perfbench import cli_pool
 from ptgraph import cli, spectral
 from util import GOLDEN_K1
 
@@ -383,6 +385,59 @@ class TestOutput:
         modes = peak_rss_kb("modes", *common, "--out", str(tmp_path / "m.csv"))
         assert (tmp_path / "m.csv").stat().st_size > 5_000_000
         assert modes - spectrum < 4 * 1024
+
+
+class TestOutFile:
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_mode_follows_umask(self, tmp_path: Path, umask, existing):
+        target = tmp_path / "r.csv"
+        if existing:
+            target.write_text("old\n")
+            target.chmod(0o640)
+        old_umask = os.umask(umask)
+        try:
+            cp = run_cli("spectrum", "--lengths", "1,1.5,2", "--kmax", "3", "--out", str(target))
+        finally:
+            os.umask(old_umask)
+        assert cp.returncode == 0, cp.stderr
+        assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+
+    @pytest.mark.parametrize("command", ["spectrum", "verify"])
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."])
+    def test_bad_target_is_a_usage_error(self, tmp_path: Path, command, target):
+        cp = run_cli(command, "--lengths", "1,1.5,2", "--out", str(tmp_path / target), timeout=10)
+        assert cp.returncode == 2
+        assert "--out" in cp.stderr
+        assert cp.stdout == ""
+        assert list(tmp_path.rglob(".ptgraph-*.tmp")) == []
+
+
+#: the checkout that holds perfbench/, whose configurations use relative paths
+REPO = Path(cli_pool.__file__).resolve().parents[1]
+
+
+def run_pool_spec(spec: str, out: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(pg.__file__).resolve().parents[1]))
+    return subprocess.run(cli_pool.argv_for(spec, str(out)), cwd=REPO, env=env,
+                          capture_output=True, text=True)
+
+
+class TestArtifacts:
+    """The benchmark's configurations write exactly the recorded bytes."""
+
+    @pytest.mark.parametrize("cid", sorted(cli_pool.CONFIGS))
+    def test_digest(self, tmp_path: Path, cid):
+        out = tmp_path / f"{cid}.out"
+        cp = run_pool_spec(cli_pool.CONFIGS[cid], out)
+        assert cp.returncode == 0, cp.stderr
+        assert cli_pool.sha256_file(out) == cli_pool.load_digests()[cid]
+
+    def test_resolution_probe(self, tmp_path: Path):
+        out = tmp_path / "probe.out"
+        cp = run_pool_spec(cli_pool.PROBE, out)
+        assert cp.returncode == 0, cp.stderr
+        assert cli_pool.check_artifact(cli_pool.PROBE, out.read_text()) is None
 
 
 class TestEntryPoints:
