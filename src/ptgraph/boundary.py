@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -54,50 +54,48 @@ DEFAULT_CPT_TRUNCATION = 20
 
 @dataclass(frozen=True)
 class BondFunction:
-    """Per-bond callables for a function and its x-derivative.
+    """A function on the graph with its x-derivatives, as one evaluator.
 
-    Callables should accept a float or an ndarray of positions in [0, L_j].
-    `second_derivs` is optional; when present, forms that need f'' use it
-    instead of finite differences.
+    `evaluate(bond, x, order)` returns f_bond (order 0), f_bond' (order 1)
+    and, when `orders` is 3, f_bond'' (order 2), for a float or an ndarray of
+    positions in [0, L_bond]. Forms that need f'' use order 2 when present
+    and finite differences otherwise.
     """
 
     graph: MetricStarGraph
-    values: tuple[Callable, ...] = field(repr=False)
-    derivs: tuple[Callable, ...] = field(repr=False)
-    second_derivs: Optional[tuple[Callable, ...]] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        n = self.graph.n_bonds
-        if len(self.values) != n or len(self.derivs) != n:
-            raise DimensionMismatch("one value and one derivative callable per bond required")
-        if self.second_derivs is not None and len(self.second_derivs) != n:
-            raise DimensionMismatch("one second-derivative callable per bond required")
+    evaluate: Callable = field(repr=False)
+    orders: int = 2
 
     @property
     def has_second_derivs(self) -> bool:
-        return self.second_derivs is not None
+        return self.orders > 2
 
     def value(self, bond: int, x):
-        return self.values[bond - 1](x)
+        return self.evaluate(bond, x, 0)
 
     def deriv(self, bond: int, x):
-        return self.derivs[bond - 1](x)
+        return self.evaluate(bond, x, 1)
 
     def second_deriv(self, bond: int, x):
-        if self.second_derivs is None:
+        if not self.has_second_derivs:
             raise EvaluationFailure("no analytic second derivative available")
-        return self.second_derivs[bond - 1](x)
+        return self.evaluate(bond, x, 2)
 
 
 def bond_function(graph, values, derivs, second_derivs=None) -> BondFunction:
-    sd = tuple(second_derivs) if second_derivs is not None else None
-    return BondFunction(graph, tuple(values), tuple(derivs), sd)
+    """BondFunction from per-bond callables of x, one sequence per order."""
+    extra = () if second_derivs is None else (tuple(second_derivs),)
+    tables = (tuple(values), tuple(derivs)) + extra
+    if len(tables[0]) != graph.n_bonds or len(tables[1]) != graph.n_bonds:
+        raise DimensionMismatch("one value and one derivative callable per bond required")
+    if any(len(t) != graph.n_bonds for t in extra):
+        raise DimensionMismatch("one second-derivative callable per bond required")
+    return BondFunction(graph, lambda bond, x, order: tables[order][bond - 1](x), len(tables))
 
 
 def zero_function(graph: MetricStarGraph) -> BondFunction:
-    n = graph.n_bonds
-    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float)) + 0j
-    return BondFunction(graph, (zero,) * n, (zero,) * n, (zero,) * n)
+    zero = lambda bond, x, order: np.zeros_like(np.asarray(x, dtype=float)) + 0j
+    return BondFunction(graph, zero, orders=3)
 
 
 def trig_function(graph: MetricStarGraph, terms: Sequence[Sequence[tuple]]) -> BondFunction:
@@ -109,10 +107,10 @@ def trig_function(graph: MetricStarGraph, terms: Sequence[Sequence[tuple]]) -> B
     if len(terms) != graph.n_bonds:
         raise DimensionMismatch("one term list per bond required")
     frozen = tuple(tuple(t) for t in terms)
-    return _from_methods(graph, *(partial(_trig_sum, frozen, order) for order in range(3)))
+    return BondFunction(graph, partial(_trig_sum, frozen), orders=3)
 
 
-def _trig_sum(terms, order: int, bond: int, x):
+def _trig_sum(terms, bond: int, x, order: int):
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape, dtype=complex)
     for a, w, p in terms[bond - 1]:
@@ -123,13 +121,6 @@ def _trig_sum(terms, order: int, bond: int, x):
         else:
             out += -a * w * w * np.sin(w * x + p)
     return out if out.shape else complex(out)
-
-
-def _from_methods(graph: MetricStarGraph, *methods) -> BondFunction:
-    """BondFunction whose bond-j callables are method(j, x) for the value, the
-    derivative and optionally the second derivative, in that order."""
-    bonds = range(1, graph.n_bonds + 1)
-    return BondFunction(graph, *(tuple(partial(m, j) for j in bonds) for m in methods))
 
 
 def _weighted_sum(coeffs, parts):
@@ -144,12 +135,13 @@ def _weighted_sum(coeffs, parts):
     return out if np.ndim(out) else complex(out)
 
 
-def _combination(coeffs, methods, bond, x):
-    return _weighted_sum(coeffs, (method(bond, x) for method in methods))
+def _combination(coeffs, functions, bond: int, x, order: int):
+    return _weighted_sum(coeffs, (f.evaluate(bond, x, order) for f in functions))
 
 
 def combine(functions: Sequence[BondFunction], coeffs) -> BondFunction:
-    """Pointwise linear combination sum_i c_i f_i of functions on one graph."""
+    """Pointwise linear combination sum_i c_i f_i of functions on one graph;
+    it has f'' only when every f_i has."""
     if not functions:
         raise DimensionMismatch("need at least one function")
     graph = functions[0].graph
@@ -159,15 +151,14 @@ def combine(functions: Sequence[BondFunction], coeffs) -> BondFunction:
     coeffs = tuple(complex(c) for c in coeffs)
     if len(coeffs) != len(functions):
         raise DimensionMismatch("one coefficient per function required")
-    kinds = [[f.value for f in functions], [f.deriv for f in functions]]
-    if all(f.has_second_derivs for f in functions):
-        kinds.append([f.second_deriv for f in functions])
-    return _from_methods(graph, *(partial(_combination, coeffs, methods) for methods in kinds))
+    orders = min(f.orders for f in functions)
+    return BondFunction(graph, partial(_combination, coeffs, tuple(functions)), orders=orders)
 
 
-def _sample(func: Callable, pts: np.ndarray) -> np.ndarray:
-    """Evaluate a per-bond callable on a grid; it must return one value per point."""
-    out = np.asarray(func(pts), dtype=complex)
+def _sample(f: BondFunction, bond: int, pts: np.ndarray, order: int = 0) -> np.ndarray:
+    """Evaluate f (order 0) or a derivative on a grid of bond `bond`; the
+    evaluator must return one value per point."""
+    out = np.asarray(f.evaluate(bond, pts, order), dtype=complex)
     if out.shape != pts.shape:
         raise EvaluationFailure(f"callable returned shape {out.shape} for grid of {pts.shape}")
     return out
@@ -357,8 +348,8 @@ def l2_inner(f: BondFunction, g: BondFunction, resolution: int = DEFAULT_RESOLUT
     total = 0j
     for j in range(1, graph.n_bonds + 1):
         grid = bond_grid(graph, j, resolution)
-        fv = _sample(f.values[j - 1], grid.points)
-        gv = _sample(g.values[j - 1], grid.points)
+        fv = _sample(f, j, grid.points)
+        gv = fv if g is f else _sample(g, j, grid.points)
         total += quadrature(fv * np.conj(gv), grid)
     return total
 
@@ -374,8 +365,8 @@ def pt_inner(f: BondFunction, g: BondFunction, resolution: int = DEFAULT_RESOLUT
     for j in range(1, graph.n_bonds + 1):
         grid = bond_grid(graph, j, resolution)
         lj = graph.length(j)
-        f_refl = _sample(f.values[j - 1], lj - grid.points)
-        gv = _sample(g.values[j - 1], grid.points)
+        f_refl = _sample(f, j, lj - grid.points)
+        gv = _sample(g, j, grid.points)
         total += quadrature(np.conj(f_refl) * gv, grid)
     return total
 
@@ -409,8 +400,8 @@ def cpt_inner(
     for j, x, w, phi in _bond_samples(kernel, resolution):
         # reflected self-product: a uniform grid maps x -> L - x onto its reverse
         self_products += np.einsum("nr,nr,r->n", phi, phi[:, ::-1], w)
-        a = _real_matvec(phi, w * np.conj(_sample(f.values[j - 1], graph.length(j) - x)))
-        b = _real_matvec(phi, w * _sample(g.values[j - 1], x))
+        a = _real_matvec(phi, w * np.conj(_sample(f, j, graph.length(j) - x)))
+        b = _real_matvec(phi, w * _sample(g, j, x))
         products += a * b
         del phi  # else it stays alive while the generator builds the next bond's matrix
     return complex(np.sum(products / self_products))
@@ -513,14 +504,14 @@ def omega_direct(
         grid = bond_grid(graph, j, resolution)
         pts = grid.points
         lj = graph.length(j)
-        fv = _sample(f.values[j - 1], pts)
-        gv = _sample(g.values[j - 1], pts)
+        fv = _sample(f, j, pts)
+        gv = _sample(g, j, pts)
         if f.has_second_derivs:
-            hf = -_sample(f.second_derivs[j - 1], pts)
+            hf = -_sample(f, j, pts, order=2)
         else:
             hf = -_second_derivative_samples(fv, grid.spacing)
         if g.has_second_derivs:
-            hg = -_sample(g.second_derivs[j - 1], pts)
+            hg = -_sample(g, j, pts, order=2)
         else:
             hg = -_second_derivative_samples(gv, grid.spacing)
         if product == HERMITIAN:

@@ -128,11 +128,14 @@ class RunConfig:
         raise UsageError("--family", f"{raw!r} is not one of {', '.join(allowed)}")
 
 
+def _column(values, precision: int) -> list[str]:
+    """Each value with `precision` significant digits; adding 0.0 turns -0
+    into 0, so "-0" is never printed."""
+    return [format(v, f".{precision}g") for v in (np.asarray(values, dtype=float) + 0.0).tolist()]
+
+
 def _fmt(x, precision: int) -> str:
-    x = float(x)
-    if x == 0.0:
-        x = 0.0  # avoid "-0"
-    return format(x, f".{precision}g")
+    return _column([x], precision)[0]
 
 
 def _atomic_write(path: str, lines: Iterable[str]):
@@ -181,9 +184,10 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     roots = find_roots(cfg.graph, 0.0, a.kmax, tol=a.tol, family=cfg.family)
     lines = _config_comments(a)
     lines.append("n,k,degenerate")
+    ks = _column([r.k for r in roots], a.precision)
     rows = (
-        f"{n},{_fmt(r.k, a.precision)},{'true' if r.degenerate else 'false'}"
-        for n, r in enumerate(roots, start=1)
+        f"{n},{k},{'true' if r.degenerate else 'false'}"
+        for n, (k, r) in enumerate(zip(ks, roots), start=1)
     )
     _emit(itertools.chain(lines, rows), a.out)
     return 0
@@ -204,11 +208,9 @@ def cmd_modes(cfg: RunConfig) -> int:
             for bond in range(1, cfg.graph.n_bonds + 1):
                 xs = np.linspace(0.0, cfg.graph.length(bond), a.resolution)
                 vals = np.asarray(mode.value(bond, xs), dtype=complex)
-                for x, v in zip(xs, vals):
-                    yield (
-                        f"{n},{bond},{_fmt(x, a.precision)},"
-                        f"{_fmt(v.real, a.precision)},{_fmt(v.imag, a.precision)}"
-                    )
+                columns = (_column(c, a.precision) for c in (xs, vals.real, vals.imag))
+                for x, re, im in zip(*columns):
+                    yield f"{n},{bond},{x},{re},{im}"
 
     _emit(itertools.chain(lines, rows()), a.out)
     return 0
@@ -258,13 +260,8 @@ def cmd_evolve(cfg: RunConfig) -> int:
     lines.append(f"# tmax: {_fmt(a.tmax, a.precision)}")
     lines.append(f"# tsteps: {a.tsteps}")
     lines.append("t,J_total," + ",".join(f"J_{j}" for j in range(1, cfg.graph.n_bonds + 1)))
-    rows = (
-        ",".join(
-            [_fmt(t, a.precision), _fmt(series.total[i], a.precision)]
-            + [_fmt(series.per_bond[j, i], a.precision) for j in range(cfg.graph.n_bonds)]
-        )
-        for i, t in enumerate(series.times)
-    )
+    table = np.column_stack([series.times, series.total, series.per_bond.T])
+    rows = (",".join(_column(row, a.precision)) for row in table)
     _emit(itertools.chain(lines, rows), a.out)
     return 0
 

@@ -17,9 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boundary import (
-    BondFunction, _bond_samples, _from_methods, _real_matvec, _sample, _weighted_sum
-)
+from .boundary import BondFunction, _bond_samples, _real_matvec, _sample, _weighted_sum
 from .errors import (
     DimensionMismatch,
     EmptyBasis,
@@ -58,15 +56,19 @@ class WaveState:
         np.exp(out, out=out)
         return np.multiply(self.coeffs, out, out=out)
 
+    def evaluate(self, bond: int, x, order: int = 0):
+        """psi_bond(x, t) = sum_n C_n exp(-i k_n^2 t) phi_n(bond, x) (order 0)
+        or its x-derivative (order 1)."""
+        return _weighted_sum(self._phased(self.t), self.basis.profiles(bond, x, order))
+
     def value(self, bond: int, x):
-        """psi_bond(x, t) = sum_n C_n exp(-i k_n^2 t) phi_n(bond, x)."""
-        return _weighted_sum(self._phased(self.t), self.basis.profiles(bond, x))
+        return self.evaluate(bond, x)
 
     def deriv(self, bond: int, x):
-        return _weighted_sum(self._phased(self.t), self.basis.profiles(bond, x, order=1))
+        return self.evaluate(bond, x, 1)
 
     def as_bond_function(self) -> BondFunction:
-        return _from_methods(self.basis.graph, self.value, self.deriv)
+        return BondFunction(self.basis.graph, self.evaluate)
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,7 @@ def project(
     for bond, x, w, phi in _bond_samples(basis, resolution):
         phi *= np.sqrt(w)  # in place: phi @ phi.T is then this bond's Gram block
         gram += phi @ phi.T
-        rhs += _real_matvec(phi, np.sqrt(w) * _sample(initial.values[bond - 1], x))
+        rhs += _real_matvec(phi, np.sqrt(w) * _sample(initial, bond, x))
         del phi  # else it stays alive while the generator builds the next bond's matrix
     cond = float(np.linalg.cond(gram))
     if cond > GRAM_COND_LIMIT:
@@ -106,7 +108,7 @@ def project(
     coeffs = np.linalg.solve(gram, rhs)
     err2 = 0.0
     for bond, x, w, phi in _bond_samples(basis, resolution):
-        err2 += w @ np.abs(_sample(initial.values[bond - 1], x) - _real_matvec(phi.T, coeffs)) ** 2
+        err2 += w @ np.abs(_sample(initial, bond, x) - _real_matvec(phi.T, coeffs)) ** 2
         del phi
     return ProjectionResult(WaveState(basis, coeffs), residual=float(np.sqrt(err2)), gram_cond=cond)
 

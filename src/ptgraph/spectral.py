@@ -24,7 +24,6 @@ from .boundary import (
     PT_DIRICHLET,
     PT_NEUMANN,
     BondFunction,
-    _from_methods,
     l2_inner,
 )
 from .errors import (
@@ -65,11 +64,17 @@ def _cofactor_sum(k, graph: MetricStarGraph, weighted: bool):
     lengths = np.asarray(graph.lengths)
     k_arr = np.asarray(k, dtype=float)
     sines = np.sin(k_arr[..., None] * lengths)
-    cosines = np.cos(k_arr[..., None] * lengths) if weighted else None
+    # term j: the product of the sines left of j, times each later sine in
+    # bond order, which rounds as the product over all bonds but j does
+    terms = np.ones_like(sines)
+    np.cumprod(sines[..., :-1], axis=-1, out=terms[..., 1:])
+    for i in range(1, len(lengths)):
+        terms[..., :i] *= sines[..., i, None]
+    if weighted:
+        terms *= np.cos(k_arr[..., None] * lengths)
     total = np.zeros(k_arr.shape)
     for j in range(len(lengths)):
-        term = np.prod(np.delete(sines, j, axis=-1), axis=-1)
-        total = total + (term if cosines is None else cosines[..., j] * term)
+        total = total + terms[..., j]
     return total if total.shape else float(total)
 
 
@@ -312,23 +317,26 @@ class EigenMode:
     graph: MetricStarGraph
     norm_check: float | None = field(default=None, compare=False)
 
-    def _on_bond(self, bond: int, x, order: int):
+    def evaluate(self, bond: int, x, order: int = 0):
+        """The profile on one bond (order 0) or its first or second
+        x-derivative (order 1 or 2, with f'' = -k^2 f)."""
+        if order == 2:
+            return -(self.k * self.k) * self.evaluate(bond, x)
         lj = self.graph.length(bond)
         s = math.sin(self.k * lj)
         return _profile(self.k, self.norm_const, s, lj, x, self.family in _SIN_FAMILIES, order)
 
     def value(self, bond: int, x):
-        return self._on_bond(bond, x, 0)
+        return self.evaluate(bond, x)
 
     def deriv(self, bond: int, x):
-        return self._on_bond(bond, x, 1)
+        return self.evaluate(bond, x, 1)
 
     def second_deriv(self, bond: int, x):
-        return -(self.k * self.k) * self.value(bond, x)
+        return self.evaluate(bond, x, 2)
 
     def as_bond_function(self) -> BondFunction:
-        """Adapter with analytic derivatives (f'' = -k^2 f)."""
-        return _from_methods(self.graph, self.value, self.deriv, self.second_deriv)
+        return BondFunction(self.graph, self.evaluate, orders=3)
 
 
 def eigenmode(

@@ -1,10 +1,19 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 import ptgraph as pg
 from util import GOLDEN_ABSYM_PT, random_trig
+
+
+def first_two_orders(f):
+    """Copy of f built from per-bond callables, without its f''."""
+    bonds = range(1, f.graph.n_bonds + 1)
+    return pg.bond_function(
+        f.graph, [partial(f.value, j) for j in bonds], [partial(f.deriv, j) for j in bonds]
+    )
 
 
 def linear_probe(graph):
@@ -341,8 +350,7 @@ class TestOmegaForms:
         f = random_trig(graph123, rng)
         g = random_trig(graph123, rng)
         # strip the analytic second derivatives to force the FD stencil
-        f_fd = pg.bond_function(graph123, f.values, f.derivs)
-        g_fd = pg.bond_function(graph123, g.values, g.derivs)
+        f_fd, g_fd = first_two_orders(f), first_two_orders(g)
         assert not f_fd.has_second_derivs
         exact = pg.omega_direct(f, g, pg.HERMITIAN)
         fd = pg.omega_direct(f_fd, g_fd, pg.HERMITIAN)
@@ -350,7 +358,7 @@ class TestOmegaForms:
 
     def test_fd_needs_enough_points(self, graph123):
         f = pg.trig_function(graph123, [[(1.0, 1.0, 0.0)]] * 3)
-        f_fd = pg.bond_function(graph123, f.values, f.derivs)
+        f_fd = first_two_orders(f)
         with pytest.raises(pg.ResolutionTooCoarse):
             pg.omega_direct(f_fd, f_fd, pg.HERMITIAN, resolution=5)
 
@@ -416,7 +424,33 @@ class TestCPTInner:
             pg.cpt_inner(z, z, basis_inc_d, truncation=len(basis_inc_d.modes) + 1)
 
 
+class TestBondFunction:
+    def test_callable_counts_enforced(self, graph123):
+        one = lambda x: np.asarray(x) + 0j
+        for values, derivs in (([one] * 2, [one] * 3), ([one] * 3, [one] * 4)):
+            with pytest.raises(pg.DimensionMismatch, match="one value and one derivative"):
+                pg.bond_function(graph123, values, derivs)
+        with pytest.raises(pg.DimensionMismatch, match="one second-derivative callable"):
+            pg.bond_function(graph123, [one] * 3, [one] * 3, [one] * 2)
+
+    def test_second_deriv_of_two_orders_fails(self, graph123):
+        f = first_two_orders(pg.trig_function(graph123, [[(1.0, 1.0, 0.0)]] * 3))
+        assert not f.has_second_derivs
+        with pytest.raises(pg.EvaluationFailure):
+            f.second_deriv(1, 0.5)
+
+
 class TestCombine:
+    def test_fewest_orders_of_its_members(self, graph123):
+        trig = pg.trig_function(graph123, [[(1.0, 2.0, 0.3)]] * 3)
+        assert pg.combine([trig, trig], [1.0, 2.0]).has_second_derivs
+        f = pg.combine([trig, first_two_orders(trig)], [1.0, 2.0])
+        assert not f.has_second_derivs
+        with pytest.raises(pg.EvaluationFailure):
+            f.second_deriv(2, 0.1)
+        assert f.value(2, 0.1) == pytest.approx(3.0 * trig.value(2, 0.1))
+        assert f.deriv(2, 0.1) == pytest.approx(3.0 * trig.deriv(2, 0.1))
+
     def test_coefficient_count_enforced(self, graph123):
         z = pg.zero_function(graph123)
         with pytest.raises(pg.DimensionMismatch):

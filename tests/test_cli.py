@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ptgraph as pg
 from perfbench import cli_pool
@@ -385,6 +387,32 @@ class TestOutput:
         modes = peak_rss_kb("modes", *common, "--out", str(tmp_path / "m.csv"))
         assert (tmp_path / "m.csv").stat().st_size > 5_000_000
         assert modes - spectrum < 4 * 1024
+
+
+def per_cell_fmt(x, precision: int) -> str:
+    """The one-value formatter that `cli._column` replaced."""
+    x = float(x)
+    if x == 0.0:
+        x = 0.0  # avoid "-0"
+    return format(x, f".{precision}g")
+
+
+class TestColumn:
+    # finite values, signed zeros and infinities; adding 0.0 to a signalling
+    # NaN raises a RuntimeWarning, so NaN is left out
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=30), st.integers(1, 17))
+    def test_matches_per_cell_format(self, values, precision):
+        assert cli._column(values, precision) == [per_cell_fmt(v, precision) for v in values]
+
+    def test_edge_values_at_every_precision(self):
+        values = np.array([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+                           1e308, -1e-308, 1.7976931348623157e308, 0.1, -2.5, 123456789.0])
+        for precision in range(1, 18):
+            want = [per_cell_fmt(v, precision) for v in values]
+            assert cli._column(values, precision) == want
+            assert [cli._fmt(v, precision) for v in values] == want
+        assert cli._column([-0.0], 12) == ["0"]
 
 
 class TestOutFile:

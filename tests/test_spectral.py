@@ -13,6 +13,7 @@ from util import (
     GOLDEN_REGULAR_123,
     GOLDEN_ROOT_COUNT_123,
     GOLDEN_SECULAR_AT_1,
+    cofactor_sum_reference,
     fd_derivative,
     fd_second_derivative,
 )
@@ -78,6 +79,25 @@ class TestSecular:
             for size in (1, 7, 256, 600):
                 got = np.concatenate([fn(ks[i : i + size], g) for i in range(0, ks.size, size)])
                 assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), (n, size)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_bits_match_delete_reference(self, weighted):
+        # random k and k at or within 1e-12 of sine zeros, where terms and
+        # their signed zeros are most sensitive to the order of the products
+        fn = pg.secular_kirchhoff if weighted else pg.secular
+        rng = np.random.default_rng(23)
+        for n in range(2, 25):
+            lengths = rng.uniform(0.2, 3.0, n)
+            g = pg.make_star_graph(list(lengths))
+            lattice = rng.integers(1, 100, 60) * math.pi / rng.choice(lengths, 60)
+            ks = np.concatenate([rng.uniform(0.0, 1000.0, 120), lattice,
+                                 lattice * (1.0 + 1e-12), lattice * (1.0 - 1e-12)])
+            ref = cofactor_sum_reference(ks, lengths, weighted)
+            assert np.array_equal(fn(ks, g).view(np.int64), ref.view(np.int64)), n
+            for k in ks[::30]:
+                got, want = fn(float(k), g), cofactor_sum_reference(float(k), lengths, weighted)
+                assert isinstance(got, float)
+                assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), (n, k)
 
 
 class TestFindRoots:
@@ -188,6 +208,16 @@ class TestEigenmode:
             for mode in basis.modes:
                 bf = mode.as_bond_function()
                 assert abs(pg.l2_inner(bf, bf) - 1.0) < 1e-8
+
+    def test_second_deriv_is_minus_k_squared_value(self, basis123_d, basis123_n, graph123):
+        for mode in (basis123_d.modes[0], basis123_n.modes[2]):
+            bf = mode.as_bond_function()
+            assert bf.has_second_derivs
+            for bond in (1, 2, 3):
+                for x in (np.linspace(0.0, graph123.length(bond), 11), 0.3):
+                    want = np.asarray(-(mode.k * mode.k) * mode.value(bond, x))
+                    got = np.asarray(bf.second_deriv(bond, x))
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_norm_constants_positive(self, basis123_d, basis123_n, basis123_k):
         for basis in (basis123_d, basis123_n, basis123_k):

@@ -91,6 +91,22 @@ def dense_secular(k, lengths, kirchhoff=False):
     return reduce(add, terms)
 
 
+def cofactor_sum_reference(k, lengths, weighted=False):
+    """sum_j w_j prod_{i != j} sin(k L_i) as one np.prod over an np.delete
+    copy per bond, w_j = cos(k L_j) if weighted and 1 otherwise, summed in
+    bond order from zeros: the rounding that secular and secular_kirchhoff
+    keep bit for bit."""
+    lengths = np.asarray(lengths)
+    k_arr = np.asarray(k, dtype=float)
+    sines = np.sin(k_arr[..., None] * lengths)
+    cosines = np.cos(k_arr[..., None] * lengths)
+    total = np.zeros(k_arr.shape)
+    for j in range(len(lengths)):
+        term = np.prod(np.delete(sines, j, axis=-1), axis=-1)
+        total = total + (cosines[..., j] * term if weighted else term)
+    return total if total.shape else float(total)
+
+
 def dense_scan_roots(lengths, k_max, step=1e-6, zero_tol=1e-12, chunk=4_000_000,
                      kirchhoff=False, k_min=0.0):
     """Independent dense-scan roots on (k_min, k_max]: sign changes of the
