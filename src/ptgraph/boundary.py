@@ -52,19 +52,17 @@ RANK_TOL = 1e-10
 DEFAULT_CPT_TRUNCATION = 20
 
 
-@dataclass(frozen=True)
 class BondFunction:
-    """A function on the graph with its x-derivatives, as one evaluator.
+    """A function on the graph with its x-derivatives, read through one evaluator.
 
-    `evaluate(bond, x, order)` returns f_bond (order 0), f_bond' (order 1)
-    and, when `orders` is 3, f_bond'' (order 2), for a float or an ndarray of
-    positions in [0, L_bond]. Forms that need f'' use order 2 when present
-    and finite differences otherwise.
+    Subclasses provide `graph` and `evaluate(bond, x, order)`, which returns
+    f_bond (order 0), f_bond' (order 1) and, when `orders` is 3, f_bond''
+    (order 2), for a float or an ndarray of positions in [0, L_bond]. Forms
+    that need f'' use order 2 when present and finite differences otherwise.
+    Eigenmodes, wave states and the functions built here are all of this kind.
     """
 
-    graph: MetricStarGraph
-    evaluate: Callable = field(repr=False)
-    orders: int = 2
+    orders = 2
 
     @property
     def has_second_derivs(self) -> bool:
@@ -82,6 +80,15 @@ class BondFunction:
         return self.evaluate(bond, x, 2)
 
 
+@dataclass(frozen=True)
+class _Evaluator(BondFunction):
+    """BondFunction held as one callable evaluate(bond, x, order)."""
+
+    graph: MetricStarGraph
+    evaluate: Callable = field(repr=False)
+    orders: int = 2
+
+
 def bond_function(graph, values, derivs, second_derivs=None) -> BondFunction:
     """BondFunction from per-bond callables of x, one sequence per order."""
     extra = () if second_derivs is None else (tuple(second_derivs),)
@@ -90,12 +97,11 @@ def bond_function(graph, values, derivs, second_derivs=None) -> BondFunction:
         raise DimensionMismatch("one value and one derivative callable per bond required")
     if any(len(t) != graph.n_bonds for t in extra):
         raise DimensionMismatch("one second-derivative callable per bond required")
-    return BondFunction(graph, lambda bond, x, order: tables[order][bond - 1](x), len(tables))
+    return _Evaluator(graph, lambda bond, x, order: tables[order][bond - 1](x), len(tables))
 
 
 def zero_function(graph: MetricStarGraph) -> BondFunction:
-    zero = lambda bond, x, order: np.zeros_like(np.asarray(x, dtype=float)) + 0j
-    return BondFunction(graph, zero, orders=3)
+    return trig_function(graph, [()] * graph.n_bonds)
 
 
 def trig_function(graph: MetricStarGraph, terms: Sequence[Sequence[tuple]]) -> BondFunction:
@@ -107,7 +113,7 @@ def trig_function(graph: MetricStarGraph, terms: Sequence[Sequence[tuple]]) -> B
     if len(terms) != graph.n_bonds:
         raise DimensionMismatch("one term list per bond required")
     frozen = tuple(tuple(t) for t in terms)
-    return BondFunction(graph, partial(_trig_sum, frozen), orders=3)
+    return _Evaluator(graph, partial(_trig_sum, frozen), orders=3)
 
 
 def _trig_sum(terms, bond: int, x, order: int):
@@ -152,7 +158,7 @@ def combine(functions: Sequence[BondFunction], coeffs) -> BondFunction:
     if len(coeffs) != len(functions):
         raise DimensionMismatch("one coefficient per function required")
     orders = min(f.orders for f in functions)
-    return BondFunction(graph, partial(_combination, coeffs, tuple(functions)), orders=orders)
+    return _Evaluator(graph, partial(_combination, coeffs, tuple(functions)), orders=orders)
 
 
 def _sample(f: BondFunction, bond: int, pts: np.ndarray, order: int = 0) -> np.ndarray:

@@ -33,7 +33,7 @@ GRAM_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
-class WaveState:
+class WaveState(BondFunction):
     """Expansion coefficients over a spectral basis at one instant."""
 
     basis: SpectralBasis
@@ -49,6 +49,10 @@ class WaveState:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
+    @property
+    def graph(self):
+        return self.basis.graph
+
     def _phased(self, t) -> np.ndarray:
         """C_n exp(-i k_n^2 t) for a time t, or one row per time for a column t."""
         ks = np.array([m.k for m in self.basis.modes])
@@ -61,14 +65,12 @@ class WaveState:
         or its x-derivative (order 1)."""
         return _weighted_sum(self._phased(self.t), self.basis.profiles(bond, x, order))
 
+    # kept in the class body: perfbench/tracer.py wraps WaveState.__dict__["value"] and ["deriv"]
     def value(self, bond: int, x):
         return self.evaluate(bond, x)
 
     def deriv(self, bond: int, x):
         return self.evaluate(bond, x, 1)
-
-    def as_bond_function(self) -> BondFunction:
-        return BondFunction(self.basis.graph, self.evaluate)
 
 
 @dataclass(frozen=True)

@@ -71,10 +71,15 @@ class BondGrid:
         return float(self.points[1] - self.points[0])
 
 
-def bond_grid(graph: MetricStarGraph, bond: int, count: int = DEFAULT_RESOLUTION) -> BondGrid:
-    """Uniform grid of `count` points on [0, L_bond]; count must be odd >= 3."""
+def _check_point_count(count: int):
+    """Raise EvenPointCount unless Simpson quadrature can use `count` points."""
     if count < 3 or count % 2 == 0:
         raise EvenPointCount(f"Simpson quadrature needs an odd point count >= 3, got {count}")
+
+
+def bond_grid(graph: MetricStarGraph, bond: int, count: int = DEFAULT_RESOLUTION) -> BondGrid:
+    """Uniform grid of `count` points on [0, L_bond]; count must be odd >= 3."""
+    _check_point_count(count)
     pts = np.linspace(0.0, graph.length(bond), count)
     pts.setflags(write=False)
     return BondGrid(bond_index=bond, points=pts, count=count)
@@ -97,8 +102,7 @@ def quadrature(values, grid: BondGrid) -> complex:
 
 def simpson_weights(count: int, spacing: float) -> np.ndarray:
     """Simpson weight vector, so that integral = weights @ samples."""
-    if count < 3 or count % 2 == 0:
-        raise EvenPointCount(f"Simpson quadrature needs an odd point count >= 3, got {count}")
+    _check_point_count(count)
     w = np.full(count, 2.0)
     w[1:-1:2] = 4.0
     w[0] = w[-1] = 1.0

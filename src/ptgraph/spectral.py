@@ -36,7 +36,7 @@ from .errors import (
     OutOfDomain,
     UnknownFamily,
 )
-from .graph import DEFAULT_RESOLUTION, MetricStarGraph
+from .graph import DEFAULT_RESOLUTION, MetricStarGraph, _check_point_count
 
 #: default lower cut-off of the root window (excludes k = 0)
 DEFAULT_ROOT_TOL = 1e-12
@@ -50,7 +50,7 @@ DEGENERATE_SINE_TOL = 1e-8
 MODE_ROOT_TOL = 1e-9
 #: tolerance of the closed-form-vs-quadrature norm cross-check
 NORM_CHECK_TOL = 1e-8
-#: largest k times grid spacing of the norm check when no resolution is given
+#: largest k times grid spacing of the norm check
 NORM_CHECK_K_SPACING = 0.05
 #: most (pieces x bonds) elements the Rolle test of one level holds at once
 _ROLLE_SLICE = 4096
@@ -301,7 +301,7 @@ def _profile(k, norm_const, sine, L, x, sin_profile: bool, order: int):
 
 
 @dataclass(frozen=True)
-class EigenMode:
+class EigenMode(BondFunction):
     """One eigen-wavenumber with its closed-form bond profile.
 
     The profile is norm_const * sin(k (L_j - x)) / sin(k L_j) for the
@@ -316,6 +316,7 @@ class EigenMode:
     norm_const: float
     graph: MetricStarGraph
     norm_check: float | None = field(default=None, compare=False)
+    orders = 3
 
     def evaluate(self, bond: int, x, order: int = 0):
         """The profile on one bond (order 0) or its first or second
@@ -325,18 +326,6 @@ class EigenMode:
         lj = self.graph.length(bond)
         s = math.sin(self.k * lj)
         return _profile(self.k, self.norm_const, s, lj, x, self.family in _SIN_FAMILIES, order)
-
-    def value(self, bond: int, x):
-        return self.evaluate(bond, x)
-
-    def deriv(self, bond: int, x):
-        return self.evaluate(bond, x, 1)
-
-    def second_deriv(self, bond: int, x):
-        return self.evaluate(bond, x, 2)
-
-    def as_bond_function(self) -> BondFunction:
-        return BondFunction(self.graph, self.evaluate, orders=3)
 
 
 def eigenmode(
@@ -353,9 +342,10 @@ def eigenmode(
 
     (minus for the sine-profile families, plus for the cosine profile), and
     is cross-checked against the quadrature L2 norm at `resolution` points
-    per bond; disagreement beyond NORM_CHECK_TOL raises NormalizationError.
-    The default resolution is DEFAULT_RESOLUTION, raised where needed so that
-    k times the grid spacing stays at or below NORM_CHECK_K_SPACING.
+    per bond (default DEFAULT_RESOLUTION); disagreement beyond NORM_CHECK_TOL
+    raises NormalizationError. The grid is raised where needed, never
+    lowered, so that k times its spacing stays at or below
+    NORM_CHECK_K_SPACING.
     """
     sec_fn = _secular_for_family(family)
     resid = abs(float(sec_fn(k, graph)))
@@ -373,15 +363,15 @@ def eigenmode(
     )
     norm_const = total ** -0.5
     mode = EigenMode(k=float(k), family=family, norm_const=norm_const, graph=graph)
-    if resolution is None:
-        need = math.ceil(k * max(graph.lengths) / NORM_CHECK_K_SPACING) + 1
-        resolution = max(DEFAULT_RESOLUTION, need) | 1
-    bf = mode.as_bond_function()
-    n2 = l2_inner(bf, bf, resolution)
+    if resolution is not None:
+        _check_point_count(resolution)
+    need = math.ceil(k * max(graph.lengths) / NORM_CHECK_K_SPACING) + 1
+    resolution = max(resolution or DEFAULT_RESOLUTION, need) | 1
+    n2 = l2_inner(mode, mode, resolution)
     if abs(n2 - 1.0) > NORM_CHECK_TOL:
         raise NormalizationError(
             f"quadrature norm {n2.real:.12g} deviates from 1 beyond {NORM_CHECK_TOL:g} "
-            f"(resolution {resolution} too coarse for k = {k:g}?)"
+            f"(resolution {resolution}, k = {k:g})"
         )
     return replace(mode, norm_check=n2.real)
 

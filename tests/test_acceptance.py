@@ -68,8 +68,7 @@ def test_criterion_03_normalization(basis_inc_d, basis_inc_n):
     for basis in (basis_inc_d, basis_inc_n):
         assert len(basis.modes) >= 20
         for mode in basis.modes[:20]:
-            bf = mode.as_bond_function()
-            worst = max(worst, abs(pg.l2_inner(bf, bf, 2001) - 1.0))
+            worst = max(worst, abs(pg.l2_inner(mode, mode, 2001) - 1.0))
     report(
         3,
         "first 20 modes of each family are unit-norm at resolution 2001",
@@ -83,7 +82,7 @@ def test_criterion_04_boundary_conditions(basis_inc_d, basis_inc_n, graph_inc):
     for basis in (basis_inc_d, basis_inc_n):
         bc = pg.bc_matrices(basis.family, graph_inc)
         for mode in basis.modes[:20]:
-            t = pg.trace_vectors(mode.as_bond_function(), graph_inc)
+            t = pg.trace_vectors(mode, graph_inc)
             worst = max(worst, pg.bc_residual(bc, t))
     report(
         4,
@@ -100,8 +99,7 @@ def test_criterion_05_positive_norms(basis_inc_d, basis_inc_n):
         for mode in basis.modes:
             ok = ok and mode.norm_const > 0.0 and math.isfinite(mode.norm_const)
         for mode in basis.modes[:10]:
-            bf = mode.as_bond_function()
-            val = pg.cpt_inner(bf, bf, basis, truncation=20)
+            val = pg.cpt_inner(mode, mode, basis, truncation=20)
             ok = ok and abs(val.imag) < 1e-10 and val.real > 0.0
             min_cpt = min(min_cpt, val.real)
     report(
@@ -139,7 +137,7 @@ def test_criterion_06_omega_oracle_agreement(graph123):
 def test_criterion_07_pt_annihilation(basis123_d, basis123_n, graph123):
     worst = 0.0
     for basis in (basis123_d, basis123_n):
-        funcs = [m.as_bond_function() for m in basis.modes[:5]]
+        funcs = basis.modes[:5]
         for f in funcs:
             for g in funcs:
                 worst = max(worst, abs(pg.omega_pt(f, g, graph123)))
@@ -198,7 +196,7 @@ def test_criterion_10_projection_round_trip(basis123_d):
     cond = 0.0
     for _ in range(3):
         coeffs = rng.normal(size=3) + 1j * rng.normal(size=3)
-        target = pg.combine([m.as_bond_function() for m in basis123_d.modes[:3]], coeffs)
+        target = pg.combine(basis123_d.modes[:3], coeffs)
         res = pg.project(target, basis123_d)
         worst = max(worst, res.residual)
         cond = res.gram_cond

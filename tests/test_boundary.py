@@ -16,6 +16,18 @@ def first_two_orders(f):
     )
 
 
+def rebuilt(f):
+    """Copy of f built from per-bond callables of its own readers, every order kept."""
+    bonds = range(1, f.graph.n_bonds + 1)
+    readers = (f.value, f.deriv, f.second_deriv)[: f.orders]
+    return pg.bond_function(f.graph, *([partial(r, j) for j in bonds] for r in readers))
+
+
+def bits(*values):
+    """The bytes of the values as complex arrays, for exact comparison."""
+    return [(np.shape(v), np.asarray(v, dtype=complex).tobytes()) for v in values]
+
+
 def linear_probe(graph):
     """f_j(x) = c_j + d_j x with distinct constants, to pin slot ordering."""
     cs = [(j + 1) * 1.0 for j in range(graph.n_bonds)]
@@ -117,7 +129,7 @@ class TestBCMatrices:
 
     def test_kirchhoff_annihilates_its_modes(self, basis123_k, graph123):
         bc = pg.bc_matrices(pg.KIRCHHOFF_REF, graph123)
-        f = basis123_k.modes[0].as_bond_function()
+        f = basis123_k.modes[0]
         assert pg.bc_residual(bc, pg.trace_vectors(f, graph123)) < 1e-12
 
     def test_kirchhoff_rejects_generic_sine(self, graph123):
@@ -145,7 +157,7 @@ class TestBCResidual:
     def test_eigenmode_residual_small(self, basis123_d, graph123):
         bc = pg.bc_matrices(pg.PT_DIRICHLET, graph123)
         for mode in basis123_d.modes:
-            t = pg.trace_vectors(mode.as_bond_function(), graph123)
+            t = pg.trace_vectors(mode, graph123)
             assert pg.bc_residual(bc, t) < 1e-10
 
     def test_constant_one_violates_dirichlet_ends(self, graph123):
@@ -319,21 +331,21 @@ class TestOmegaForms:
         assert abs(direct - boundary) < 1e-6
 
     def test_kirchhoff_modes_annihilate_hermitian_form(self, basis123_k, graph123):
-        funcs = [m.as_bond_function() for m in basis123_k.modes[:4]]
+        funcs = basis123_k.modes[:4]
         for f in funcs:
             for g in funcs:
                 assert abs(pg.omega_hermitian(f, g, graph123)) < 1e-9
 
     def test_pt_modes_annihilate_pt_form(self, basis123_d, basis123_n, graph123):
         for basis in (basis123_d, basis123_n):
-            funcs = [m.as_bond_function() for m in basis.modes[:5]]
+            funcs = basis.modes[:5]
             for f in funcs:
                 for g in funcs:
                     assert abs(pg.omega_pt(f, g, graph123)) < 1e-8
 
     def test_pt_modes_do_not_annihilate_hermitian_form(self, basis123_d, graph123):
-        f = basis123_d.modes[0].as_bond_function()
-        g = basis123_d.modes[1].as_bond_function()
+        f = basis123_d.modes[0]
+        g = basis123_d.modes[1]
         assert abs(pg.omega_hermitian(f, g, graph123)) > 1e-3
 
     def test_randomized_boundary_vs_volume(self, graph123):
@@ -374,7 +386,7 @@ class TestCPTInner:
         assert pg.cpt_inner(z, z, basis_inc_d, truncation=5) == 0.0
 
     def test_first_mode_positive(self, basis_inc_d):
-        f = basis_inc_d.modes[0].as_bond_function()
+        f = basis_inc_d.modes[0]
         val = pg.cpt_inner(f, f, basis_inc_d, truncation=20)
         assert abs(val.imag) < 1e-10
         assert val.real > 0.0
@@ -382,13 +394,12 @@ class TestCPTInner:
     def test_positive_for_first_ten_modes(self, basis_inc_d, basis_inc_n):
         for basis in (basis_inc_d, basis_inc_n):
             for mode in basis.modes[:10]:
-                f = mode.as_bond_function()
-                val = pg.cpt_inner(f, f, basis, truncation=20)
+                val = pg.cpt_inner(mode, mode, basis, truncation=20)
                 assert val.real > 0.0 and abs(val.imag) < 1e-10
 
     def test_positive_down_to_mode_index_truncation(self, basis_inc_d):
         for idx in (0, 2, 5):
-            f = basis_inc_d.modes[idx].as_bond_function()
+            f = basis_inc_d.modes[idx]
             for trunc in range(idx + 1, 21, 6):
                 assert pg.cpt_inner(f, f, basis_inc_d, truncation=trunc).real > 0.0
 
@@ -396,8 +407,8 @@ class TestCPTInner:
         # coarse-grid oracle: assemble the kernel matrix and integrate twice
         trunc = 6
         n_pts = 401
-        f = basis_inc_d.modes[0].as_bond_function()
-        mode_funcs = [m.as_bond_function() for m in basis_inc_d.modes[:trunc]]
+        f = basis_inc_d.modes[0]
+        mode_funcs = basis_inc_d.modes[:trunc]
         weights = [1.0 / pg.pt_inner(m, m, n_pts) for m in mode_funcs]
         total = 0j
         for bond in range(1, graph_inc.n_bonds + 1):
@@ -459,3 +470,48 @@ class TestCombine:
     def test_mixed_graphs_rejected(self, graph123, graph111):
         with pytest.raises(pg.GraphMismatch):
             pg.combine([pg.zero_function(graph123), pg.zero_function(graph111)], [1.0, 1.0])
+
+
+class TestModesAndStatesAreBondFunctions:
+    """A mode or a wave state is passed to every form as it is, and each form
+    reads it bit for bit as the same function rebuilt from its readers."""
+
+    @pytest.fixture
+    def functions(self, basis123_d, basis123_n):
+        state = pg.WaveState(basis123_d, np.exp(0.7j * np.arange(len(basis123_d))), t=0.3)
+        return basis123_d.modes[2], basis123_n.modes[1], state
+
+    def test_isinstance(self, functions):
+        mode, _, state = functions
+        assert isinstance(mode, pg.BondFunction) and isinstance(state, pg.BondFunction)
+        assert mode.has_second_derivs and not state.has_second_derivs
+        assert state.graph == state.basis.graph
+        with pytest.raises(pg.EvaluationFailure):
+            state.second_deriv(1, 0.5)
+
+    def test_every_form_reads_them_as_rebuilt(self, functions, basis123_d, graph123):
+        res = 401
+
+        def forms(f, g):
+            combined = pg.combine([f, g], [1.0, 0.5j - 0.2])
+            tf = pg.trace_vectors(f, graph123)
+            projected = pg.project(f, basis123_d, res)
+            sampled = [
+                combined.evaluate(j, np.linspace(0.0, graph123.length(j), 9), order)
+                for j in (1, 2, 3) for order in range(combined.orders)
+            ]
+            return bits(
+                pg.l2_inner(f, g, res), pg.l2_inner(f, f, res), pg.pt_inner(f, g, res),
+                pg.cpt_inner(f, g, basis123_d, truncation=5, resolution=res),
+                pg.omega_hermitian(f, g, graph123), pg.omega_pt(f, g, graph123),
+                pg.omega_pt_symplectic(f, g, graph123),
+                pg.omega_direct(f, g, pg.HERMITIAN, res), pg.omega_direct(f, g, pg.PT, res),
+                tf.psi, tf.dpsi, combined.orders, *sampled,
+                projected.state.coeffs, projected.residual, projected.gram_cond,
+            )
+
+        # modes take omega_direct's analytic f'' path, the state its finite differences
+        for f in functions:
+            for g in functions:
+                assert rebuilt(f).orders == f.orders
+                assert forms(f, g) == forms(rebuilt(f), rebuilt(g))

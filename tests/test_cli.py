@@ -158,8 +158,7 @@ class TestModes:
                                resolution=801)
         want = []
         for n, mode in enumerate(basis.modes, start=1):
-            bf = mode.as_bond_function()
-            want.append(f"# norm_check,{n},{cli._fmt(pg.l2_inner(bf, bf, 801).real, 17)}")
+            want.append(f"# norm_check,{n},{cli._fmt(pg.l2_inner(mode, mode, 801).real, 17)}")
         got = [ln for ln in out.read_text().splitlines() if ln.startswith("# norm_check,")]
         assert len(got) == len(basis.modes) > 5
         assert got == want
@@ -183,15 +182,26 @@ class TestModes:
         cp = run_cli("modes", "--lengths", "1,1.5,2", "--family", "nonsense")
         assert cp.returncode == 2
 
-    def test_failed_norm_check_writes_nothing(self, tmp_path: Path):
-        # the mode at k = 121.72 fails its norm check at 2001 points per bond
-        args = ("modes", "--lengths", "1,1.3,1.7", "--kmax", "122")
+    def test_failed_computation_writes_nothing(self, tmp_path: Path):
+        # the double root at pi on (1.5, 0.5) cannot be separated
+        args = ("modes", "--lengths", "1.5,0.5", "--kmax", "4")
         cp = run_cli(*args)
-        assert cp.returncode == 1 and "NormalizationError" in cp.stderr
+        assert cp.returncode == 1 and "EvaluationFailure" in cp.stderr
         assert cp.stdout == ""
         cp = run_cli(*args, "--out", str(tmp_path / "m.csv"))
         assert cp.returncode == 1
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ("modes", "--kmax", "26", "--resolution", "401"),
+    ("evolve", "--kmax", "150", "--coeffs", "equal:5", "--tsteps", "3"),
+    ("verify", "--kmax", "150"),
+])
+def test_norm_check_grid_is_never_coarser_than_k_needs(args):
+    # the top modes need more points per bond than --resolution (401) or its default (2001)
+    cp = run_cli(args[0], "--lengths", "1,1.3,1.7", *args[1:])
+    assert cp.returncode == 0, cp.stderr
 
 
 class TestEvolve:

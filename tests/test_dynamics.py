@@ -23,7 +23,7 @@ def equal_state(basis, n_modes=5):
 
 class TestProject:
     def test_basis_element_roundtrip(self, basis123_d):
-        res = pg.project(basis123_d.modes[0].as_bond_function(), basis123_d)
+        res = pg.project(basis123_d.modes[0], basis123_d)
         expect = np.zeros(len(basis123_d.modes))
         expect[0] = 1.0
         assert np.allclose(res.state.coeffs, expect, atol=1e-8)
@@ -31,8 +31,8 @@ class TestProject:
         assert res.gram_cond < 100.0
 
     def test_mixture_roundtrip(self, basis123_d, graph123):
-        f1 = basis123_d.modes[0].as_bond_function()
-        f2 = basis123_d.modes[1].as_bond_function()
+        f1 = basis123_d.modes[0]
+        f2 = basis123_d.modes[1]
         mix = pg.combine([f1, f2], [1.0 / math.sqrt(2.0)] * 2)
         res = pg.project(mix, basis123_d)
         expect = np.zeros(len(basis123_d.modes), dtype=complex)
@@ -41,7 +41,7 @@ class TestProject:
         assert res.residual < 1e-8
 
     def test_three_mode_complex_combination(self, basis123_d):
-        funcs = [m.as_bond_function() for m in basis123_d.modes[:3]]
+        funcs = basis123_d.modes[:3]
         coeffs = [0.5, -0.3 + 0.2j, 1.1]
         target = pg.combine(funcs, coeffs)
         res = pg.project(target, basis123_d)
@@ -78,14 +78,14 @@ class TestProject:
             modes=(m, near_twin), family=m.family, k_max=20.0, graph=graph123
         )
         with pytest.raises(pg.SingularGram):
-            pg.project(m.as_bond_function(), bad)
+            pg.project(m, bad)
 
     def test_matches_gram_solve_by_quadrature(self, basis_inc_d, graph_inc):
         rng = np.random.default_rng(5)
         terms = [[(complex(*rng.normal(size=2)), rng.uniform(0.5, 6.0), rng.uniform(0.0, 6.0))
                   for _ in range(3)] for _ in range(3)]
         target = pg.trig_function(graph_inc, terms)
-        funcs = [m.as_bond_function() for m in basis_inc_d.modes]
+        funcs = basis_inc_d.modes
         gram = np.array([[pg.l2_inner(f, g) for g in funcs] for f in funcs])
         rhs = np.array([pg.l2_inner(target, f) for f in funcs])
         res = pg.project(target, basis_inc_d)
@@ -95,7 +95,7 @@ class TestProject:
         rng = np.random.default_rng(23)
         for _ in range(5):
             coeffs = rng.normal(size=3) + 1j * rng.normal(size=3)
-            target = pg.combine([m.as_bond_function() for m in basis123_d.modes[:3]], coeffs)
+            target = pg.combine(basis123_d.modes[:3], coeffs)
             res = pg.project(target, basis123_d)
             assert res.residual < 1e-6
 
@@ -103,7 +103,7 @@ class TestProject:
         n_modes, resolution = 30, 4001
         basis = pg.build_basis(graph_inc, pg.PT_DIRICHLET, 60.0, resolution=2001)
         basis = dataclasses.replace(basis, modes=basis.modes[:n_modes])
-        target = pg.combine([m.as_bond_function() for m in basis.modes[:3]], [1.0, 0.5j, -0.3])
+        target = pg.combine(basis.modes[:3], [1.0, 0.5j, -0.3])
         tracemalloc.start()
         try:
             res = pg.project(target, basis, resolution)
@@ -119,7 +119,7 @@ class TestCptInner:
     def test_holds_one_profile_matrix_at_a_time(self, graph_inc):
         n_modes, resolution = 30, 4001
         basis = pg.build_basis(graph_inc, pg.PT_DIRICHLET, 60.0, resolution=2001)
-        f = pg.combine([m.as_bond_function() for m in basis.modes[:3]], [1.0, 0.5j, -0.3])
+        f = pg.combine(basis.modes[:3], [1.0, 0.5j, -0.3])
         tracemalloc.start()
         try:
             val = pg.cpt_inner(f, f, basis, truncation=n_modes, resolution=resolution)
@@ -285,18 +285,17 @@ class TestWaveStateEvaluation:
         s = pg.WaveState(basis=pg.build_basis(graph123, pg.PT_DIRICHLET, 1.5), coeffs=[])
         assert s.value(1, 0.2) == 0j
         assert np.array_equal(s.value(1, np.linspace(0.0, 1.0, 7)), np.zeros(7))
-        assert pg.l2_inner(s.as_bond_function(), s.as_bond_function()) == 0.0
+        assert pg.l2_inner(s, s) == 0.0
 
 
 class TestWaveStateValidation:
-    def test_as_bond_function(self, basis123_d, graph123):
+    def test_single_mode_state_is_the_phased_mode(self, basis123_d, graph123):
         # a single-mode state is the mode itself up to a global phase
         s = pg.evolve(state_with(basis123_d, 1.0), 0.4)
-        f = s.as_bond_function()
-        assert abs(pg.l2_inner(f, f) - 1.0) < 1e-8
-        t = pg.trace_vectors(f, graph123)
+        assert abs(pg.l2_inner(s, s) - 1.0) < 1e-8
+        t = pg.trace_vectors(s, graph123)
         phase = np.exp(-1j * basis123_d.modes[0].k ** 2 * 0.4)
-        ref = pg.trace_vectors(basis123_d.modes[0].as_bond_function(), graph123)
+        ref = pg.trace_vectors(basis123_d.modes[0], graph123)
         assert np.allclose(t.psi, phase * ref.psi, atol=1e-12)
         assert np.allclose(t.dpsi, phase * ref.dpsi, atol=1e-12)
 

@@ -206,17 +206,15 @@ class TestEigenmode:
     def test_norms_equal_one(self, basis123_d, basis123_n):
         for basis in (basis123_d, basis123_n):
             for mode in basis.modes:
-                bf = mode.as_bond_function()
-                assert abs(pg.l2_inner(bf, bf) - 1.0) < 1e-8
+                assert abs(pg.l2_inner(mode, mode) - 1.0) < 1e-8
 
     def test_second_deriv_is_minus_k_squared_value(self, basis123_d, basis123_n, graph123):
         for mode in (basis123_d.modes[0], basis123_n.modes[2]):
-            bf = mode.as_bond_function()
-            assert bf.has_second_derivs
+            assert mode.has_second_derivs
             for bond in (1, 2, 3):
                 for x in (np.linspace(0.0, graph123.length(bond), 11), 0.3):
                     want = np.asarray(-(mode.k * mode.k) * mode.value(bond, x))
-                    got = np.asarray(bf.second_deriv(bond, x))
+                    got = np.asarray(mode.second_deriv(bond, x))
                     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_norm_constants_positive(self, basis123_d, basis123_n, basis123_k):
@@ -237,10 +235,22 @@ class TestEigenmode:
         with pytest.raises(pg.UnknownFamily):
             pg.eigenmode(GOLDEN_K1, "robin", graph123)
 
-    def test_coarse_resolution_fails_norm_check(self, basis_inc_d, graph_inc):
+    def test_coarse_resolution_is_raised_to_the_k_sized_grid(self, basis_inc_d, graph_inc):
         k20 = basis_inc_d.modes[19].k
+        mode = pg.eigenmode(k20, pg.PT_DIRICHLET, graph_inc, resolution=51)
+        need = math.ceil(k20 * max(graph_inc.lengths) / spectral.NORM_CHECK_K_SPACING) + 1
+        assert need | 1 > 51
+        assert mode.norm_check == pg.l2_inner(mode, mode, need | 1).real
+
+    def test_norm_check_that_cannot_pass_raises(self, basis_inc_d, graph_inc, monkeypatch):
+        monkeypatch.setattr(spectral, "NORM_CHECK_TOL", 1e-15)
         with pytest.raises(pg.NormalizationError):
-            pg.eigenmode(k20, pg.PT_DIRICHLET, graph_inc, resolution=51)
+            pg.eigenmode(basis_inc_d.modes[19].k, pg.PT_DIRICHLET, graph_inc, resolution=51)
+
+    @pytest.mark.parametrize("resolution", [0, 1, 2, 4, 2000])
+    def test_unusable_resolution_raises(self, basis_inc_d, graph_inc, resolution):
+        with pytest.raises(pg.EvenPointCount):
+            pg.eigenmode(basis_inc_d.modes[19].k, pg.PT_DIRICHLET, graph_inc, resolution)
 
     def test_derivative_matches_finite_differences(self, basis123_d, basis123_n):
         for basis in (basis123_d, basis123_n):
