@@ -66,7 +66,6 @@ from .errors import (
     NotARoot,
     OutOfDomain,
     PTGraphError,
-    ResolutionTooCoarse,
     SingularGram,
     TooFewBonds,
     UnknownFamily,

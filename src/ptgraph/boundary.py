@@ -28,7 +28,7 @@ from .errors import (
     EvaluationFailure,
     GraphMismatch,
     InsufficientBasis,
-    ResolutionTooCoarse,
+    OutOfDomain,
     UnknownFamily,
 )
 from .graph import DEFAULT_RESOLUTION, MetricStarGraph, bond_grid, quadrature, simpson_weights
@@ -56,17 +56,11 @@ class BondFunction:
     """A function on the graph with its x-derivatives, read through one evaluator.
 
     Subclasses provide `graph` and `evaluate(bond, x, order)`, which returns
-    f_bond (order 0), f_bond' (order 1) and, when `orders` is 3, f_bond''
-    (order 2), for a float or an ndarray of positions in [0, L_bond]. Forms
-    that need f'' use order 2 when present and finite differences otherwise.
-    Eigenmodes, wave states and the functions built here are all of this kind.
+    f_bond (order 0), f_bond' (order 1) or f_bond'' (order 2) for a float or
+    an ndarray of positions in [0, L_bond]; any other order raises
+    OutOfDomain. Eigenmodes, wave states and the functions built here are all
+    of this kind, and each carries its exact f''.
     """
-
-    orders = 2
-
-    @property
-    def has_second_derivs(self) -> bool:
-        return self.orders > 2
 
     def value(self, bond: int, x):
         return self.evaluate(bond, x, 0)
@@ -75,9 +69,13 @@ class BondFunction:
         return self.evaluate(bond, x, 1)
 
     def second_deriv(self, bond: int, x):
-        if not self.has_second_derivs:
-            raise EvaluationFailure("no analytic second derivative available")
         return self.evaluate(bond, x, 2)
+
+
+def _check_order(order: int) -> int:
+    if order not in (0, 1, 2):
+        raise OutOfDomain(f"derivative order {order!r} not in 0, 1, 2")
+    return order
 
 
 @dataclass(frozen=True)
@@ -86,18 +84,14 @@ class _Evaluator(BondFunction):
 
     graph: MetricStarGraph
     evaluate: Callable = field(repr=False)
-    orders: int = 2
 
 
-def bond_function(graph, values, derivs, second_derivs=None) -> BondFunction:
-    """BondFunction from per-bond callables of x, one sequence per order."""
-    extra = () if second_derivs is None else (tuple(second_derivs),)
-    tables = (tuple(values), tuple(derivs)) + extra
-    if len(tables[0]) != graph.n_bonds or len(tables[1]) != graph.n_bonds:
-        raise DimensionMismatch("one value and one derivative callable per bond required")
-    if any(len(t) != graph.n_bonds for t in extra):
-        raise DimensionMismatch("one second-derivative callable per bond required")
-    return _Evaluator(graph, lambda bond, x, order: tables[order][bond - 1](x), len(tables))
+def bond_function(graph, values, derivs, second_derivs) -> BondFunction:
+    """BondFunction from per-bond callables of x: one sequence each for f, f' and f''."""
+    tables = (tuple(values), tuple(derivs), tuple(second_derivs))
+    if any(len(t) != graph.n_bonds for t in tables):
+        raise DimensionMismatch("one callable per bond required for each of f, f' and f''")
+    return _Evaluator(graph, lambda bond, x, order: tables[_check_order(order)][bond - 1](x))
 
 
 def zero_function(graph: MetricStarGraph) -> BondFunction:
@@ -113,10 +107,11 @@ def trig_function(graph: MetricStarGraph, terms: Sequence[Sequence[tuple]]) -> B
     if len(terms) != graph.n_bonds:
         raise DimensionMismatch("one term list per bond required")
     frozen = tuple(tuple(t) for t in terms)
-    return _Evaluator(graph, partial(_trig_sum, frozen), orders=3)
+    return _Evaluator(graph, partial(_trig_sum, frozen))
 
 
 def _trig_sum(terms, bond: int, x, order: int):
+    _check_order(order)
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape, dtype=complex)
     for a, w, p in terms[bond - 1]:
@@ -146,8 +141,8 @@ def _combination(coeffs, functions, bond: int, x, order: int):
 
 
 def combine(functions: Sequence[BondFunction], coeffs) -> BondFunction:
-    """Pointwise linear combination sum_i c_i f_i of functions on one graph;
-    it has f'' only when every f_i has."""
+    """Pointwise linear combination sum_i c_i f_i of functions on one graph,
+    read at every order through the evaluators of the f_i."""
     if not functions:
         raise DimensionMismatch("need at least one function")
     graph = functions[0].graph
@@ -157,8 +152,7 @@ def combine(functions: Sequence[BondFunction], coeffs) -> BondFunction:
     coeffs = tuple(complex(c) for c in coeffs)
     if len(coeffs) != len(functions):
         raise DimensionMismatch("one coefficient per function required")
-    orders = min(f.orders for f in functions)
-    return _Evaluator(graph, partial(_combination, coeffs, tuple(functions)), orders=orders)
+    return _Evaluator(graph, partial(_combination, coeffs, tuple(functions)))
 
 
 def _sample(f: BondFunction, bond: int, pts: np.ndarray, order: int = 0) -> np.ndarray:
@@ -464,32 +458,6 @@ def omega_pt_symplectic(f: BondFunction, g: BondFunction, graph: MetricStarGraph
     return complex(row @ j_blk @ col)
 
 
-def _fd2_weights(offsets: np.ndarray, h: float) -> np.ndarray:
-    """Stencil weights for f'' from samples at x + offsets*h (exact on
-    polynomials up to the stencil size)."""
-    k = len(offsets)
-    v = np.vander(offsets, k, increasing=True).T  # v[p, i] = offsets[i]**p
-    rhs = np.zeros(k)
-    rhs[2] = 2.0  # second derivative of x^2
-    return np.linalg.solve(v, rhs) / (h * h)
-
-
-def _second_derivative_samples(values: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order finite-difference second derivative on a uniform grid."""
-    n = len(values)
-    if n < 7:
-        raise ResolutionTooCoarse("need at least 7 grid points for the f'' stencil")
-    out = np.empty(n, dtype=complex)
-    w_int = _fd2_weights(np.arange(-2, 3, dtype=float), h)
-    for shift, row in ((0, np.arange(0, 6)), (1, np.arange(-1, 5))):
-        w = _fd2_weights(row.astype(float), h)
-        out[shift] = np.dot(w, values[shift + row])
-        out[n - 1 - shift] = np.dot(w[::-1], values[n - 1 - shift - row[::-1]])
-    center = np.convolve(values, w_int[::-1], mode="valid")
-    out[2 : n - 2] = center
-    return out
-
-
 def omega_direct(
     f: BondFunction,
     g: BondFunction,
@@ -499,8 +467,8 @@ def omega_direct(
     """Skew form <Hf, g> - <f, Hg> evaluated as volume integrals.
 
     The independent oracle for the boundary-term formulas: H = -d^2/dx^2 is
-    applied with analytic second derivatives when available, otherwise with
-    fourth-order finite differences on the quadrature grid.
+    applied through the exact second derivatives of f and g on the
+    quadrature grid.
     """
     graph = _check_same_graph(f, g)
     if product not in (HERMITIAN, PT):
@@ -509,17 +477,10 @@ def omega_direct(
     for j in range(1, graph.n_bonds + 1):
         grid = bond_grid(graph, j, resolution)
         pts = grid.points
-        lj = graph.length(j)
         fv = _sample(f, j, pts)
         gv = _sample(g, j, pts)
-        if f.has_second_derivs:
-            hf = -_sample(f, j, pts, order=2)
-        else:
-            hf = -_second_derivative_samples(fv, grid.spacing)
-        if g.has_second_derivs:
-            hg = -_sample(g, j, pts, order=2)
-        else:
-            hg = -_second_derivative_samples(gv, grid.spacing)
+        hf = -_sample(f, j, pts, order=2)
+        hg = -_sample(g, j, pts, order=2)
         if product == HERMITIAN:
             total += quadrature(hf * np.conj(gv) - fv * np.conj(hg), grid)
         else:

@@ -32,9 +32,9 @@ from .spectral import SpectralBasis, _check_domain
 GRAM_COND_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaveState(BondFunction):
-    """Expansion coefficients over a spectral basis at one instant."""
+    """Expansion coefficients over a spectral basis at one instant; compared by identity."""
 
     basis: SpectralBasis
     coeffs: np.ndarray = field(repr=False)
@@ -62,7 +62,7 @@ class WaveState(BondFunction):
 
     def evaluate(self, bond: int, x, order: int = 0):
         """psi_bond(x, t) = sum_n C_n exp(-i k_n^2 t) phi_n(bond, x) (order 0)
-        or its x-derivative (order 1)."""
+        or its first or second x-derivative (order 1 or 2)."""
         return _weighted_sum(self._phased(self.t), self.basis.profiles(bond, x, order))
 
     # kept in the class body: perfbench/tracer.py wraps WaveState.__dict__["value"] and ["deriv"]

@@ -49,10 +49,6 @@ class InsufficientBasis(PTGraphError):
     pass
 
 
-class ResolutionTooCoarse(PTGraphError):
-    pass
-
-
 class InvalidWindow(PTGraphError):
     pass
 

@@ -24,6 +24,7 @@ from .boundary import (
     PT_DIRICHLET,
     PT_NEUMANN,
     BondFunction,
+    _check_order,
     l2_inner,
 )
 from .errors import (
@@ -289,14 +290,18 @@ def find_roots(
 
 
 def _profile(k, norm_const, sine, L, x, sin_profile: bool, order: int):
-    """norm_const * f(k (L - x)) / sine (order 0) or its x-derivative (order 1),
-    with f = sin for the sine-profile families and cos otherwise, built in one
-    array. Every argument broadcasts. The order (scale * f) / sine is that of
-    the closed form; printed roundoff depends on it."""
+    """norm_const * f(k (L - x)) / sine (order 0), its x-derivative (order 1)
+    or the order-0 profile times -(k * k) (order 2), with f = sin for the
+    sine-profile families and cos otherwise, built in one array. Every
+    argument broadcasts. The order (scale * f) / sine is that of the closed
+    form; printed roundoff depends on it."""
+    _check_order(order)
     out = np.asarray(k * (L - x), dtype=float)
-    (np.sin if sin_profile == (order == 0) else np.cos)(out, out=out)
-    out *= norm_const if order == 0 else (-k if sin_profile else k) * norm_const
+    (np.sin if sin_profile == (order != 1) else np.cos)(out, out=out)
+    out *= (-k if sin_profile else k) * norm_const if order == 1 else norm_const
     out /= sine
+    if order == 2:
+        out *= -(k * k)
     return out[()]
 
 
@@ -316,13 +321,10 @@ class EigenMode(BondFunction):
     norm_const: float
     graph: MetricStarGraph
     norm_check: float | None = field(default=None, compare=False)
-    orders = 3
 
     def evaluate(self, bond: int, x, order: int = 0):
         """The profile on one bond (order 0) or its first or second
         x-derivative (order 1 or 2, with f'' = -k^2 f)."""
-        if order == 2:
-            return -(self.k * self.k) * self.evaluate(bond, x)
         lj = self.graph.length(bond)
         s = math.sin(self.k * lj)
         return _profile(self.k, self.norm_const, s, lj, x, self.family in _SIN_FAMILIES, order)
@@ -422,8 +424,8 @@ class SpectralBasis:
         return len(self.modes)
 
     def profiles(self, bond: int, x, order: int = 0) -> np.ndarray:
-        """Every mode's value (order 0) or x-derivative (order 1) on one bond,
-        shape (modes,) + shape(x); row n equals modes[n].value / .deriv."""
+        """Every mode's value (order 0) or x-derivative (order 1 or 2) on one bond,
+        shape (modes,) + shape(x); row n equals modes[n].evaluate(bond, x, order)."""
         lj = self.graph.length(bond)
         x = np.asarray(x, dtype=float)
         column = (-1,) + (1,) * x.ndim

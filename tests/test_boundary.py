@@ -5,22 +5,18 @@ import numpy as np
 import pytest
 
 import ptgraph as pg
-from util import GOLDEN_ABSYM_PT, random_trig
-
-
-def first_two_orders(f):
-    """Copy of f built from per-bond callables, without its f''."""
-    bonds = range(1, f.graph.n_bonds + 1)
-    return pg.bond_function(
-        f.graph, [partial(f.value, j) for j in bonds], [partial(f.deriv, j) for j in bonds]
-    )
+from util import GOLDEN_ABSYM_PT, fd_second_derivative, random_trig
 
 
 def rebuilt(f):
-    """Copy of f built from per-bond callables of its own readers, every order kept."""
+    """Copy of f built from per-bond callables of its own three readers."""
     bonds = range(1, f.graph.n_bonds + 1)
-    readers = (f.value, f.deriv, f.second_deriv)[: f.orders]
+    readers = (f.value, f.deriv, f.second_deriv)
     return pg.bond_function(f.graph, *([partial(r, j) for j in bonds] for r in readers))
+
+
+def zero(x):
+    return 0.0 * np.asarray(x)
 
 
 def bits(*values):
@@ -61,7 +57,7 @@ class TestTraceVectors:
         # f_j(x) = x: values (0,0,0, L1,L2,L3), derivatives (-1,-1,-1, 1,1,1)
         ident = lambda x: np.asarray(x) + 0.0
         one = lambda x: np.ones_like(np.asarray(x, dtype=float))
-        f = pg.bond_function(graph123, [ident] * 3, [one] * 3)
+        f = pg.bond_function(graph123, [ident] * 3, [one] * 3, [zero] * 3)
         t = pg.trace_vectors(f, graph123)
         assert np.allclose(t.psi, [0, 0, 0, 1.0, 1.5, 2.0])
         assert np.allclose(t.dpsi, [-1, -1, -1, 1, 1, 1])
@@ -88,7 +84,10 @@ class TestTraceVectors:
         def der(j):
             return lambda x: -k * np.cos(k * (ls[j] - np.asarray(x)))
 
-        f = pg.bond_function(graph123, [val(j) for j in range(3)], [der(j) for j in range(3)])
+        def sec(j):
+            return lambda x: -k * k * np.sin(k * (ls[j] - np.asarray(x)))
+
+        f = pg.bond_function(graph123, *([fn(j) for j in range(3)] for fn in (val, der, sec)))
         t = pg.trace_vectors(f, graph123)
         assert np.allclose(t.psi[:3], [math.sin(k * l) for l in ls])
         assert np.allclose(t.psi[3:], 0.0)
@@ -97,8 +96,7 @@ class TestTraceVectors:
 
     def test_non_finite_endpoint_rejected(self, graph123):
         bad = lambda x: np.full_like(np.asarray(x, dtype=float), np.nan)
-        zero = lambda x: 0.0 * np.asarray(x)
-        f = pg.bond_function(graph123, [bad, zero, zero], [zero] * 3)
+        f = pg.bond_function(graph123, [bad, zero, zero], [zero] * 3, [zero] * 3)
         with pytest.raises(pg.EvaluationFailure):
             pg.trace_vectors(f, graph123)
 
@@ -143,7 +141,10 @@ class TestBCMatrices:
         def der(j):
             return lambda x: -k * np.cos(k * (ls[j] - np.asarray(x)))
 
-        f = pg.bond_function(graph123, [val(j) for j in range(3)], [der(j) for j in range(3)])
+        def sec(j):
+            return lambda x: -k * k * np.sin(k * (ls[j] - np.asarray(x)))
+
+        f = pg.bond_function(graph123, *([fn(j) for j in range(3)] for fn in (val, der, sec)))
         bc = pg.bc_matrices(pg.KIRCHHOFF_REF, graph123)
         assert pg.bc_residual(bc, pg.trace_vectors(f, graph123)) > 0.1
 
@@ -162,8 +163,7 @@ class TestBCResidual:
 
     def test_constant_one_violates_dirichlet_ends(self, graph123):
         one = lambda x: np.ones_like(np.asarray(x, dtype=float))
-        zero = lambda x: 0.0 * np.asarray(x)
-        f = pg.bond_function(graph123, [one] * 3, [zero] * 3)
+        f = pg.bond_function(graph123, [one] * 3, [zero] * 3, [zero] * 3)
         bc = pg.bc_matrices(pg.PT_DIRICHLET, graph123)
         t = pg.trace_vectors(f, graph123)
         assert pg.bc_residual(bc, t) == pytest.approx(math.sqrt(3), abs=1e-14)
@@ -230,8 +230,7 @@ class TestInnerProducts:
     def test_l2_constants(self):
         g = unit_graph()
         one = lambda x: np.ones_like(np.asarray(x, dtype=float))
-        zero = lambda x: 0.0 * np.asarray(x)
-        f = pg.bond_function(g, [one] * 3, [zero] * 3)
+        f = pg.bond_function(g, [one] * 3, [zero] * 3, [zero] * 3)
         assert pg.l2_inner(f, f) == pytest.approx(3.0, abs=1e-12)
 
     def test_l2_sine_orthogonality(self):
@@ -255,7 +254,7 @@ class TestInnerProducts:
 
     def test_scalar_for_array_raises(self, graph123):
         const = lambda x: 1.0
-        f = pg.bond_function(graph123, [const] * 3, [const] * 3)
+        f = pg.bond_function(graph123, [const] * 3, [const] * 3, [const] * 3)
         with pytest.raises(pg.EvaluationFailure):
             pg.l2_inner(f, f)
 
@@ -264,8 +263,7 @@ class TestInnerProducts:
         assert pg.pt_inner(z, z) == 0.0
         g = unit_graph()
         one = lambda x: np.ones_like(np.asarray(x, dtype=float))
-        zero = lambda x: 0.0 * np.asarray(x)
-        f = pg.bond_function(g, [one] * 3, [zero] * 3)
+        f = pg.bond_function(g, [one] * 3, [zero] * 3, [zero] * 3)
         assert pg.pt_inner(f, f) == pytest.approx(3.0, abs=1e-12)
 
     def test_pt_linear_on_one_bond(self):
@@ -273,8 +271,7 @@ class TestInnerProducts:
         g = unit_graph()
         ident = lambda x: np.asarray(x) + 0.0
         one = lambda x: np.ones_like(np.asarray(x, dtype=float))
-        zero = lambda x: 0.0 * np.asarray(x)
-        f = pg.bond_function(g, [ident, zero, zero], [one, zero, zero])
+        f = pg.bond_function(g, [ident, zero, zero], [one, zero, zero], [zero] * 3)
         assert pg.pt_inner(f, f) == pytest.approx(1.0 / 6.0, abs=1e-12)
 
     def test_pt_conjugates_first_argument(self):
@@ -303,8 +300,7 @@ class TestOmegaForms:
     @pytest.mark.parametrize("form", [pg.omega_hermitian, pg.omega_pt])
     def test_non_finite_endpoint_rejected(self, form, graph123):
         bad = lambda x: np.full_like(np.asarray(x, dtype=float), np.nan)
-        zero = lambda x: 0.0 * np.asarray(x)
-        f = pg.bond_function(graph123, [zero] * 3, [zero, zero, bad])
+        f = pg.bond_function(graph123, [zero] * 3, [zero, zero, bad], [zero] * 3)
         z = pg.zero_function(graph123)
         for args in ((f, z), (z, f)):
             with pytest.raises(pg.EvaluationFailure):
@@ -324,7 +320,6 @@ class TestOmegaForms:
         f = pg.trig_function(graph123, [[(1.0, np.pi, 0.0)]] * 3)
         ident = lambda x: np.asarray(x) + 0.0
         one = lambda x: np.ones_like(np.asarray(x, dtype=float))
-        zero = lambda x: 0.0 * np.asarray(x)
         g = pg.bond_function(graph123, [ident] * 3, [one] * 3, [zero] * 3)
         direct = pg.omega_direct(f, g, pg.HERMITIAN)
         boundary = pg.omega_hermitian(f, g, graph123)
@@ -357,22 +352,36 @@ class TestOmegaForms:
             assert abs(pg.omega_pt(f, g, graph123) - pg.omega_direct(f, g, pg.PT)) < 1e-6
             assert abs(pg.omega_pt(f, g, graph123) - pg.omega_pt_symplectic(f, g, graph123)) < 1e-12
 
-    def test_finite_difference_fallback(self, graph123):
-        rng = np.random.default_rng(3)
-        f = random_trig(graph123, rng)
-        g = random_trig(graph123, rng)
-        # strip the analytic second derivatives to force the FD stencil
-        f_fd, g_fd = first_two_orders(f), first_two_orders(g)
-        assert not f_fd.has_second_derivs
-        exact = pg.omega_direct(f, g, pg.HERMITIAN)
-        fd = pg.omega_direct(f_fd, g_fd, pg.HERMITIAN)
-        assert abs(exact - fd) < 1e-6
+    @pytest.mark.parametrize("name", ["basis123_d", "basis123_n", "basis123_k"])
+    def test_direct_equals_boundary_forms_on_modes_and_state(self, name, graph123, request):
+        # the state reads its f'' from the profiles, as the modes do
+        basis = request.getfixturevalue(name)
+        state = pg.WaveState(basis, np.exp(0.7j * np.arange(len(basis))), t=0.3)
+        funcs = (*basis.modes[:3], state)
+        for f in funcs:
+            for g in funcs:
+                herm = pg.omega_direct(f, g, pg.HERMITIAN, 2001)
+                pt = pg.omega_direct(f, g, pg.PT, 2001)
+                assert abs(herm - pg.omega_hermitian(f, g, graph123)) < 1e-7
+                assert abs(pt - pg.omega_pt(f, g, graph123)) < 1e-7
 
-    def test_fd_needs_enough_points(self, graph123):
-        f = pg.trig_function(graph123, [[(1.0, 1.0, 0.0)]] * 3)
-        f_fd = first_two_orders(f)
-        with pytest.raises(pg.ResolutionTooCoarse):
-            pg.omega_direct(f_fd, f_fd, pg.HERMITIAN, resolution=5)
+    @pytest.mark.parametrize("resolution", [3, 5])
+    def test_direct_is_exact_for_quadratics_on_the_coarsest_grids(self, graph123, resolution):
+        # Simpson's rule integrates the degree-2 integrands exactly
+        def quadratic(j, a, b, c):
+            return (lambda x: a * j + b * np.asarray(x) + c * j * np.asarray(x) ** 2,
+                    lambda x: b + 2 * c * j * np.asarray(x),
+                    lambda x: 2 * c * j + zero(x))
+
+        def build(*coeffs):
+            tables = zip(*(quadratic(j, *coeffs) for j in (1, 2, 3)))
+            return pg.bond_function(graph123, *tables)
+
+        f, g = build(1.0 + 0.5j, -0.3, 0.7j), build(0.2, 1.1 - 0.4j, -0.6)
+        for product, boundary in ((pg.HERMITIAN, pg.omega_hermitian), (pg.PT, pg.omega_pt)):
+            direct = pg.omega_direct(f, g, product, resolution)
+            assert abs(boundary(f, g, graph123)) > 1.0
+            assert direct == pytest.approx(boundary(f, g, graph123), abs=1e-12)
 
     def test_unknown_product_tag(self, graph123):
         z = pg.zero_function(graph123)
@@ -438,29 +447,41 @@ class TestCPTInner:
 class TestBondFunction:
     def test_callable_counts_enforced(self, graph123):
         one = lambda x: np.asarray(x) + 0j
-        for values, derivs in (([one] * 2, [one] * 3), ([one] * 3, [one] * 4)):
-            with pytest.raises(pg.DimensionMismatch, match="one value and one derivative"):
-                pg.bond_function(graph123, values, derivs)
-        with pytest.raises(pg.DimensionMismatch, match="one second-derivative callable"):
-            pg.bond_function(graph123, [one] * 3, [one] * 3, [one] * 2)
+        for tables in (
+            ([one] * 2, [one] * 3, [one] * 3),
+            ([one] * 3, [one] * 4, [one] * 3),
+            ([one] * 3, [one] * 3, [one] * 2),
+            ([one] * 3, [one] * 3, []),
+        ):
+            with pytest.raises(pg.DimensionMismatch, match="one callable per bond"):
+                pg.bond_function(graph123, *tables)
+        with pytest.raises(TypeError):
+            pg.bond_function(graph123, [one] * 3, [one] * 3)
 
-    def test_second_deriv_of_two_orders_fails(self, graph123):
-        f = first_two_orders(pg.trig_function(graph123, [[(1.0, 1.0, 0.0)]] * 3))
-        assert not f.has_second_derivs
-        with pytest.raises(pg.EvaluationFailure):
-            f.second_deriv(1, 0.5)
+    def test_each_order_reads_its_own_table(self, graph123):
+        tables = [[(lambda x, o=o, j=j: o + 10 * j + np.asarray(x)) for j in (1, 2, 3)]
+                  for o in (0, 1, 2)]
+        f = pg.bond_function(graph123, *tables)
+        readers = (f.value, f.deriv, f.second_deriv)
+        for order, reader in enumerate(readers):
+            for j in (1, 2, 3):
+                assert reader(j, 0.25) == f.evaluate(j, 0.25, order) == order + 10 * j + 0.25
 
 
 class TestCombine:
-    def test_fewest_orders_of_its_members(self, graph123):
+    def test_every_order_is_the_sum_of_its_members(self, graph123, basis123_d):
         trig = pg.trig_function(graph123, [[(1.0, 2.0, 0.3)]] * 3)
-        assert pg.combine([trig, trig], [1.0, 2.0]).has_second_derivs
-        f = pg.combine([trig, first_two_orders(trig)], [1.0, 2.0])
-        assert not f.has_second_derivs
-        with pytest.raises(pg.EvaluationFailure):
-            f.second_deriv(2, 0.1)
-        assert f.value(2, 0.1) == pytest.approx(3.0 * trig.value(2, 0.1))
-        assert f.deriv(2, 0.1) == pytest.approx(3.0 * trig.deriv(2, 0.1))
+        members = (trig, rebuilt(trig), basis123_d.modes[1])
+        coeffs = (1.0, 2.0, 0.5j - 0.2)
+        f = pg.combine(members, coeffs)
+        for order in (0, 1, 2):
+            for j, x in ((2, 0.1), (3, np.linspace(0.0, 2.0, 7))):
+                parts = [c * np.asarray(m.evaluate(j, x, order), dtype=complex)
+                         for c, m in zip(coeffs, members)]
+                assert bits(f.evaluate(j, x, order)) == bits(parts[0] + parts[1] + parts[2])
+        mode = members[2]
+        want = -12.0 * trig.value(2, 0.1) - coeffs[2] * mode.k**2 * mode.value(2, 0.1)
+        assert f.second_deriv(2, 0.1) == pytest.approx(want)
 
     def test_coefficient_count_enforced(self, graph123):
         z = pg.zero_function(graph123)
@@ -484,10 +505,18 @@ class TestModesAndStatesAreBondFunctions:
     def test_isinstance(self, functions):
         mode, _, state = functions
         assert isinstance(mode, pg.BondFunction) and isinstance(state, pg.BondFunction)
-        assert mode.has_second_derivs and not state.has_second_derivs
         assert state.graph == state.basis.graph
-        with pytest.raises(pg.EvaluationFailure):
-            state.second_deriv(1, 0.5)
+        for f in functions:
+            assert bits(f.second_deriv(1, 0.5)) == bits(f.evaluate(1, 0.5, 2))
+
+    def test_second_deriv_matches_finite_differences(self, basis123_d, basis123_n, basis123_k):
+        state = pg.WaveState(basis123_n, np.exp(0.7j * np.arange(len(basis123_n))), t=0.3)
+        mixed = pg.combine(basis123_d.modes[:3], [1.0, 0.5j - 0.2, 0.3])
+        for f in (basis123_d.modes[1], basis123_n.modes[1], basis123_k.modes[1], state, mixed):
+            points = [(j, x) for j in (1, 2, 3) for x in np.linspace(0.1, 0.9, 5) * f.graph.length(j)]
+            exact = np.array([f.second_deriv(j, x) for j, x in points])
+            fd = np.array([fd_second_derivative(partial(f.value, j), x) for j, x in points])
+            assert np.max(np.abs(exact - fd)) < 1e-6 * np.max(np.abs(exact))
 
     def test_every_form_reads_them_as_rebuilt(self, functions, basis123_d, graph123):
         res = 401
@@ -498,7 +527,7 @@ class TestModesAndStatesAreBondFunctions:
             projected = pg.project(f, basis123_d, res)
             sampled = [
                 combined.evaluate(j, np.linspace(0.0, graph123.length(j), 9), order)
-                for j in (1, 2, 3) for order in range(combined.orders)
+                for j in (1, 2, 3) for order in (0, 1, 2)
             ]
             return bits(
                 pg.l2_inner(f, g, res), pg.l2_inner(f, f, res), pg.pt_inner(f, g, res),
@@ -506,12 +535,38 @@ class TestModesAndStatesAreBondFunctions:
                 pg.omega_hermitian(f, g, graph123), pg.omega_pt(f, g, graph123),
                 pg.omega_pt_symplectic(f, g, graph123),
                 pg.omega_direct(f, g, pg.HERMITIAN, res), pg.omega_direct(f, g, pg.PT, res),
-                tf.psi, tf.dpsi, combined.orders, *sampled,
+                tf.psi, tf.dpsi, *sampled,
                 projected.state.coeffs, projected.residual, projected.gram_cond,
             )
 
-        # modes take omega_direct's analytic f'' path, the state its finite differences
         for f in functions:
             for g in functions:
-                assert rebuilt(f).orders == f.orders
                 assert forms(f, g) == forms(rebuilt(f), rebuilt(g))
+
+
+class TestDerivativeOrders:
+    """Orders other than 0, 1 and 2 are refused, never read as another order."""
+
+    @pytest.fixture
+    def evaluators(self, basis123_d, graph123):
+        trig = pg.trig_function(graph123, [[(1.0, 2.0, 0.3)]] * 3)
+        state = pg.WaveState(basis123_d, np.ones(len(basis123_d)), t=0.3)
+        return {
+            "mode": basis123_d.modes[0].evaluate,
+            "profiles": lambda j, x, order: basis123_d.profiles(j, x, order=order),
+            "state": state.evaluate,
+            "trig_function": trig.evaluate,
+            "bond_function": rebuilt(trig).evaluate,
+            "combine": pg.combine([trig, basis123_d.modes[0]], [1.0, 2.0]).evaluate,
+        }
+
+    @pytest.mark.parametrize(
+        "kind", ["mode", "profiles", "state", "trig_function", "bond_function", "combine"]
+    )
+    @pytest.mark.parametrize("order", [-1, 3, 5, 7])
+    def test_unsupported_order_raises(self, evaluators, kind, order):
+        evaluate = evaluators[kind]
+        for order_ok in (0, 1, 2):
+            assert np.all(np.isfinite(evaluate(1, 0.3, order_ok)))
+        with pytest.raises(pg.OutOfDomain, match="derivative order"):
+            evaluate(1, 0.3, order)

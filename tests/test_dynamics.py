@@ -54,7 +54,12 @@ class TestProject:
         zero = lambda x: 0.0 * np.asarray(x)
         bump = lambda x: np.exp(-(((np.asarray(x) - l3 + 0.02) / 0.005) ** 2))
         dbump = lambda x: bump(x) * (-2.0 * (np.asarray(x) - l3 + 0.02) / 0.005**2)
-        f = pg.bond_function(graph123, [zero, zero, bump], [zero, zero, dbump])
+        d2bump = lambda x: (
+            bump(x) * (4.0 * (np.asarray(x) - l3 + 0.02) ** 2 - 2.0 * 0.005**2) / 0.005**4
+        )
+        f = pg.bond_function(
+            graph123, [zero, zero, bump], [zero, zero, dbump], [zero, zero, d2bump]
+        )
         norm = math.sqrt(pg.l2_inner(f, f).real)
         res = pg.project(f, basis123_d)
         assert res.residual > 0.5 * norm
@@ -302,6 +307,16 @@ class TestWaveStateValidation:
     def test_coefficient_count_enforced(self, basis123_d):
         with pytest.raises(pg.DimensionMismatch):
             pg.WaveState(basis=basis123_d, coeffs=np.ones(2, dtype=complex))
+
+    def test_states_compare_and_hash_by_identity(self, basis123_d):
+        coeffs = np.exp(0.7j * np.arange(len(basis123_d)))
+        s, twin = pg.WaveState(basis123_d, coeffs), pg.WaveState(basis123_d, coeffs.copy())
+        assert s == s and not s != s
+        assert s != twin and not s == twin
+        assert hash(s) == hash(s) and {s: 1, twin: 2}[s] == 1
+        later = pg.evolve(s, 0.4)
+        assert later is not s and later != s and later.t == 0.4 and s.t == 0.0
+        assert np.array_equal(later.coeffs, s.coeffs)
 
     def test_coefficients_read_only(self, basis123_d):
         s = equal_state(basis123_d)

@@ -210,7 +210,6 @@ class TestEigenmode:
 
     def test_second_deriv_is_minus_k_squared_value(self, basis123_d, basis123_n, graph123):
         for mode in (basis123_d.modes[0], basis123_n.modes[2]):
-            assert mode.has_second_derivs
             for bond in (1, 2, 3):
                 for x in (np.linspace(0.0, graph123.length(bond), 11), 0.3):
                     want = np.asarray(-(mode.k * mode.k) * mode.value(bond, x))
@@ -336,10 +335,16 @@ class TestProfiles:
             for x in (xs, 0.0, 0.37):
                 values = basis.profiles(bond, x)
                 derivs = basis.profiles(bond, x, order=1)
-                assert values.shape == derivs.shape == (len(basis.modes),) + np.shape(x)
+                second = basis.profiles(bond, x, order=2)
+                for rows in (derivs, second):
+                    assert rows.shape == values.shape == (len(basis.modes),) + np.shape(x)
                 for n, mode in enumerate(basis.modes):
                     assert np.asarray(mode.value(bond, x)).tobytes() == values[n].tobytes()
                     assert np.asarray(mode.deriv(bond, x)).tobytes() == derivs[n].tobytes()
+                    # f'' is -(k * k) times the row of order 0, bit for bit
+                    want = np.asarray(-(mode.k * mode.k) * values[n])
+                    assert want.tobytes() == second[n].tobytes()
+                    assert np.asarray(mode.second_deriv(bond, x)).tobytes() == second[n].tobytes()
 
     def test_empty_basis(self, graph123):
         basis = pg.build_basis(graph123, pg.PT_DIRICHLET, 1.5)
