@@ -28,6 +28,7 @@ from .errors import (
     EvaluationFailure,
     GraphMismatch,
     InsufficientBasis,
+    NonFiniteInput,
     OutOfDomain,
     UnknownFamily,
 )
@@ -80,10 +81,14 @@ def _check_order(order: int) -> int:
 
 @dataclass(frozen=True)
 class _Evaluator(BondFunction):
-    """BondFunction held as one callable evaluate(bond, x, order)."""
+    """BondFunction held as one callable fn(bond, x, order), called on checked arguments."""
 
     graph: MetricStarGraph
-    evaluate: Callable = field(repr=False)
+    fn: Callable = field(repr=False)
+
+    def evaluate(self, bond: int, x, order: int):
+        self.graph.length(bond)
+        return self.fn(bond, x, _check_order(order))
 
 
 def bond_function(graph, values, derivs, second_derivs) -> BondFunction:
@@ -91,7 +96,7 @@ def bond_function(graph, values, derivs, second_derivs) -> BondFunction:
     tables = (tuple(values), tuple(derivs), tuple(second_derivs))
     if any(len(t) != graph.n_bonds for t in tables):
         raise DimensionMismatch("one callable per bond required for each of f, f' and f''")
-    return _Evaluator(graph, lambda bond, x, order: tables[_check_order(order)][bond - 1](x))
+    return _Evaluator(graph, lambda bond, x, order: tables[order][bond - 1](x))
 
 
 def zero_function(graph: MetricStarGraph) -> BondFunction:
@@ -111,7 +116,6 @@ def trig_function(graph: MetricStarGraph, terms: Sequence[Sequence[tuple]]) -> B
 
 
 def _trig_sum(terms, bond: int, x, order: int):
-    _check_order(order)
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape, dtype=complex)
     for a, w, p in terms[bond - 1]:
@@ -147,8 +151,7 @@ def combine(functions: Sequence[BondFunction], coeffs) -> BondFunction:
         raise DimensionMismatch("need at least one function")
     graph = functions[0].graph
     for f in functions[1:]:
-        if f.graph != graph:
-            raise GraphMismatch("all functions must share one graph")
+        _check_same_graph(functions[0], f)
     coeffs = tuple(complex(c) for c in coeffs)
     if len(coeffs) != len(functions):
         raise DimensionMismatch("one coefficient per function required")
@@ -180,40 +183,39 @@ def _real_matvec(phi: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TraceVectors:
-    """Boundary values and sign-adjusted boundary derivatives of one function."""
+    """Endpoint data of one function on its graph: `ends` is the (N, 4) table of
+    f_j(0), f_j(L_j), f_j'(0), f_j'(L_j), read as psi and dpsi in the slot layout."""
 
-    psi: np.ndarray = field(repr=False)
-    dpsi: np.ndarray = field(repr=False)
+    graph: MetricStarGraph
+    ends: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.psi.shape != self.dpsi.shape or self.psi.ndim != 1:
-            raise DimensionMismatch("psi and dpsi must be vectors of equal length")
-        if self.psi.shape[0] % 2 != 0:
-            raise DimensionMismatch("trace vectors have length 2N")
+        if self.ends.shape != (self.n_bonds, 4):
+            raise DimensionMismatch(f"endpoint table {self.ends.shape} is not ({self.n_bonds}, 4)")
 
     @property
     def n_bonds(self) -> int:
-        return self.psi.shape[0] // 2
+        return self.graph.n_bonds
+
+    @property
+    def psi(self) -> np.ndarray:
+        return np.concatenate([self.ends[:, 0], self.ends[:, 1]])
+
+    @property
+    def dpsi(self) -> np.ndarray:
+        return np.concatenate([-self.ends[:, 3], self.ends[:, 2]])
 
 
-def _end_values(f: BondFunction, graph: MetricStarGraph) -> np.ndarray:
-    """(N, 4) table of f_j(0), f_j(L_j), f_j'(0), f_j'(L_j), one row per bond."""
-    if f.graph != graph:
-        raise GraphMismatch("function was built on a different graph")
+def trace_vectors(f: BondFunction) -> TraceVectors:
+    """Evaluate f and f' at both ends of every bond of its graph, once."""
     ends = np.array(
         [[f.value(j, 0.0), f.value(j, lj), f.deriv(j, 0.0), f.deriv(j, lj)]
-         for j, lj in enumerate(graph.lengths, start=1)],
+         for j, lj in enumerate(f.graph.lengths, start=1)],
         dtype=complex,
     )
     if not np.isfinite(ends).all():
         raise EvaluationFailure("non-finite endpoint value or derivative")
-    return ends
-
-
-def trace_vectors(f: BondFunction, graph: MetricStarGraph) -> TraceVectors:
-    """Collect endpoint values/derivatives of f into the fixed slot layout."""
-    v0, vl, d0, dl = _end_values(f, graph).T
-    return TraceVectors(psi=np.concatenate([v0, vl]), dpsi=np.concatenate([-dl, d0]))
+    return TraceVectors(f.graph, ends)
 
 
 @dataclass(frozen=True)
@@ -236,6 +238,8 @@ class BCMatrices:
             raise DimensionMismatch(
                 f"expected {m}x{m} matrices, got {self.a.shape} and {self.b.shape}"
             )
+        if not (np.isfinite(self.a).all() and np.isfinite(self.b).all()):
+            raise NonFiniteInput("A and B must have finite entries")
 
 
 def bc_matrices(family: str, graph: MetricStarGraph) -> BCMatrices:
@@ -336,7 +340,7 @@ def check_ranks(bc: BCMatrices) -> RankReport:
     )
 
 
-def _check_same_graph(f: BondFunction, g: BondFunction) -> MetricStarGraph:
+def _check_same_graph(f, g) -> MetricStarGraph:
     if f.graph != g.graph:
         raise GraphMismatch("functions live on different graphs")
     return f.graph
@@ -389,6 +393,8 @@ def cpt_inner(
     is a SpectralBasis on the graph of f and g.
     """
     graph = _check_same_graph(f, g)
+    if basis.graph != graph:
+        raise GraphMismatch("basis lives on a different graph")
     if truncation < 1:
         raise InsufficientBasis(f"truncation must be >= 1, got {truncation}")
     if len(basis.modes) < truncation:
@@ -407,22 +413,22 @@ def cpt_inner(
     return complex(np.sum(products / self_products))
 
 
-def omega_hermitian(f: BondFunction, g: BondFunction, graph: MetricStarGraph) -> complex:
+def omega_hermitian(tf: TraceVectors, tg: TraceVectors) -> complex:
     """Boundary-term value of <Hf, g> - <f, Hg> for H = -d^2/dx^2.
 
-    Integration by parts leaves only endpoint terms; this evaluates them
-    directly. Vanishes whenever f and g both satisfy a self-adjoint
-    condition set such as the Kirchhoff reference family.
+    Integration by parts leaves only endpoint terms; this reads them from
+    the trace vectors tf of f and tg of g. Vanishes whenever f and g both
+    satisfy a self-adjoint condition set such as the Kirchhoff reference family.
     """
-    fe, ge = _end_values(f, graph).tolist(), _end_values(g, graph).tolist()
+    _check_same_graph(tf, tg)
     total = 0j
-    for (fv0, fvl, fd0, fdl), (gv0, gvl, gd0, gdl) in zip(fe, ge):
+    for (fv0, fvl, fd0, fdl), (gv0, gvl, gd0, gdl) in zip(tf.ends.tolist(), tg.ends.tolist()):
         total += -fdl * np.conj(gvl) + fvl * np.conj(gdl) + fd0 * np.conj(gv0) - fv0 * np.conj(gd0)
     return complex(total)
 
 
-def omega_pt(f: BondFunction, g: BondFunction, graph: MetricStarGraph) -> complex:
-    """Boundary-term value of the skew form under the reflected inner product.
+def omega_pt(tf: TraceVectors, tg: TraceVectors) -> complex:
+    """Boundary-term value of the reflected skew form, from trace vectors tf, tg.
 
     This is the expansion that vanishes identically under integration by
     parts against pt_inner; its sign and conjugation placement are pinned by
@@ -431,25 +437,23 @@ def omega_pt(f: BondFunction, g: BondFunction, graph: MetricStarGraph) -> comple
       sum_j [ conj(f_j'(0)) g_j(L_j) - conj(f_j'(L_j)) g_j(0)
               + conj(f_j(0)) g_j'(L_j) - conj(f_j(L_j)) g_j'(0) ]
 
-    Equivalent to omega_pt_symplectic on the trace vectors.
+    Equivalent to omega_pt_symplectic on the same trace vectors.
     """
-    fe, ge = _end_values(f, graph).tolist(), _end_values(g, graph).tolist()
+    _check_same_graph(tf, tg)
     total = 0j
-    for (fv0, fvl, fd0, fdl), (gv0, gvl, gd0, gdl) in zip(fe, ge):
+    for (fv0, fvl, fd0, fdl), (gv0, gvl, gd0, gdl) in zip(tf.ends.tolist(), tg.ends.tolist()):
         total += np.conj(fd0) * gvl - np.conj(fdl) * gv0 + np.conj(fv0) * gdl - np.conj(fvl) * gd0
     return complex(total)
 
 
-def omega_pt_symplectic(f: BondFunction, g: BondFunction, graph: MetricStarGraph) -> complex:
+def omega_pt_symplectic(tf: TraceVectors, tg: TraceVectors) -> complex:
     """Same skew form evaluated as a symplectic pairing of trace vectors.
 
     (G^T, G'^T) [[0, I], [-I, 0]] (conj(F), conj(F'))^T with F, F' the trace
     vectors of f and G, G' those of g. Serves as the second route for the
     boundary-term formula in omega_pt.
     """
-    tf = trace_vectors(f, graph)
-    tg = trace_vectors(g, graph)
-    m = 2 * graph.n_bonds
+    m = 2 * _check_same_graph(tf, tg).n_bonds
     j_blk = np.zeros((2 * m, 2 * m))
     j_blk[:m, m:] = np.eye(m)
     j_blk[m:, :m] = -np.eye(m)

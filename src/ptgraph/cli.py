@@ -46,7 +46,7 @@ from .boundary import (
     trace_vectors,
 )
 from .dynamics import WaveState, current_series
-from .errors import PTGraphError
+from .errors import NonFiniteInput, PTGraphError
 from .graph import DEFAULT_RESOLUTION, MetricStarGraph, make_star_graph
 from .spectral import DEFAULT_ROOT_TOL, build_basis, find_roots
 
@@ -288,7 +288,10 @@ def _load_custom_matrices(path: str, n_bonds: int) -> BCMatrices:
         except ValueError as exc:
             raise UsageError("--family", f"row {i}: could not parse entry: {exc}")
     full = np.array(entries, dtype=complex)
-    return BCMatrices(a=full[:, :m], b=full[:, m:], family=CUSTOM, n_bonds=n_bonds)
+    try:
+        return BCMatrices(a=full[:, :m], b=full[:, m:], family=CUSTOM, n_bonds=n_bonds)
+    except NonFiniteInput as exc:
+        raise UsageError("--family", f"custom matrix file: {exc}")
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -349,15 +352,16 @@ def cmd_verify(cfg: RunConfig) -> int:
         if not modes:
             report.append("[INFO] no regular modes below kmax; mode-based checks are vacuous")
         else:
-            res_max = max(bc_residual(bc, trace_vectors(f, graph)) for f in modes)
+            traces = [trace_vectors(f) for f in modes]
+            res_max = max(bc_residual(bc, t) for t in traces)
             measure("bc_residual_max", res_max, VERIFY_BC_RESIDUAL_TOL, "bc residual")
             if kirchhoff:
-                om_max = max(abs(omega_hermitian(f, g, graph)) for f in modes for g in modes)
+                om_max = max(abs(omega_hermitian(tf, tg)) for tf in traces for tg in traces)
                 measure("omega_hermitian_max", om_max, VERIFY_OMEGA_HERMITIAN_TOL,
                         "|omega_hermitian| over mode pairs")
             else:
-                om = [omega_pt(f, g, graph) for f in modes for g in modes]
-                sym = [omega_pt_symplectic(f, g, graph) for f in modes for g in modes]
+                om = [omega_pt(tf, tg) for tf in traces for tg in traces]
+                sym = [omega_pt_symplectic(tf, tg) for tf in traces for tg in traces]
                 measure("omega_pt_max", max(map(abs, om)), VERIFY_OMEGA_PT_TOL,
                         "|omega_pt| over mode pairs")
                 measure("omega_route_diff", max(abs(x - y) for x, y in zip(om, sym)),

@@ -82,7 +82,7 @@ def test_criterion_04_boundary_conditions(basis_inc_d, basis_inc_n, graph_inc):
     for basis in (basis_inc_d, basis_inc_n):
         bc = pg.bc_matrices(basis.family, graph_inc)
         for mode in basis.modes[:20]:
-            t = pg.trace_vectors(mode, graph_inc)
+            t = pg.trace_vectors(mode)
             worst = max(worst, pg.bc_residual(bc, t))
     report(
         4,
@@ -117,14 +117,12 @@ def test_criterion_06_omega_oracle_agreement(graph123):
     for _ in range(50):
         f = random_trig(graph123, rng)
         g = random_trig(graph123, rng)
+        tf, tg = pg.trace_vectors(f), pg.trace_vectors(g)
         worst_direct = max(
             worst_direct,
-            abs(pg.omega_hermitian(f, g, graph123) - pg.omega_direct(f, g, pg.HERMITIAN)),
+            abs(pg.omega_hermitian(tf, tg) - pg.omega_direct(f, g, pg.HERMITIAN)),
         )
-        worst_route = max(
-            worst_route,
-            abs(pg.omega_pt(f, g, graph123) - pg.omega_pt_symplectic(f, g, graph123)),
-        )
+        worst_route = max(worst_route, abs(pg.omega_pt(tf, tg) - pg.omega_pt_symplectic(tf, tg)))
     ok = worst_direct < 1e-6 and worst_route < 1e-12
     report(
         6,
@@ -137,10 +135,10 @@ def test_criterion_06_omega_oracle_agreement(graph123):
 def test_criterion_07_pt_annihilation(basis123_d, basis123_n, graph123):
     worst = 0.0
     for basis in (basis123_d, basis123_n):
-        funcs = basis.modes[:5]
-        for f in funcs:
-            for g in funcs:
-                worst = max(worst, abs(pg.omega_pt(f, g, graph123)))
+        traces = [pg.trace_vectors(f) for f in basis.modes[:5]]
+        for tf in traces:
+            for tg in traces:
+                worst = max(worst, abs(pg.omega_pt(tf, tg)))
     report(
         7,
         "the PT skew form vanishes on eigenmode pairs of both families",

@@ -50,7 +50,7 @@ def linear_probe(graph):
 
 class TestTraceVectors:
     def test_zero_function(self, graph123):
-        t = pg.trace_vectors(pg.zero_function(graph123), graph123)
+        t = pg.trace_vectors(pg.zero_function(graph123))
         assert np.all(t.psi == 0) and np.all(t.dpsi == 0)
 
     def test_identity_profile(self, graph123):
@@ -58,13 +58,13 @@ class TestTraceVectors:
         ident = lambda x: np.asarray(x) + 0.0
         one = lambda x: np.ones_like(np.asarray(x, dtype=float))
         f = pg.bond_function(graph123, [ident] * 3, [one] * 3, [zero] * 3)
-        t = pg.trace_vectors(f, graph123)
+        t = pg.trace_vectors(f)
         assert np.allclose(t.psi, [0, 0, 0, 1.0, 1.5, 2.0])
         assert np.allclose(t.dpsi, [-1, -1, -1, 1, 1, 1])
 
     def test_slot_ordering_pinned(self, graph123):
         f, cs, ds = linear_probe(graph123)
-        t = pg.trace_vectors(f, graph123)
+        t = pg.trace_vectors(f)
         ls = graph123.lengths
         # vertex values first, then outer-end values
         assert np.allclose(t.psi[:3], cs)
@@ -88,7 +88,7 @@ class TestTraceVectors:
             return lambda x: -k * k * np.sin(k * (ls[j] - np.asarray(x)))
 
         f = pg.bond_function(graph123, *([fn(j) for j in range(3)] for fn in (val, der, sec)))
-        t = pg.trace_vectors(f, graph123)
+        t = pg.trace_vectors(f)
         assert np.allclose(t.psi[:3], [math.sin(k * l) for l in ls])
         assert np.allclose(t.psi[3:], 0.0)
         assert np.allclose(t.dpsi[:3], k)
@@ -98,7 +98,18 @@ class TestTraceVectors:
         bad = lambda x: np.full_like(np.asarray(x, dtype=float), np.nan)
         f = pg.bond_function(graph123, [bad, zero, zero], [zero] * 3, [zero] * 3)
         with pytest.raises(pg.EvaluationFailure):
-            pg.trace_vectors(f, graph123)
+            pg.trace_vectors(f)
+
+
+    def test_carries_its_graph_and_checks_its_table(self, graph123, graph111):
+        f, _, _ = linear_probe(graph123)
+        t = pg.trace_vectors(f)
+        assert t.graph == graph123 and t.n_bonds == 3 and t.ends.shape == (3, 4)
+        for ends in (t.ends[:2], t.ends[:, :3], t.ends.ravel()):
+            with pytest.raises(pg.DimensionMismatch):
+                pg.TraceVectors(graph123, ends)
+        with pytest.raises(pg.DimensionMismatch):
+            pg.TraceVectors(pg.make_star_graph([1.0, 2.0]), t.ends)
 
 
 class TestBCMatrices:
@@ -125,10 +136,19 @@ class TestBCMatrices:
         with pytest.raises(pg.UnknownFamily):
             pg.bc_matrices("free", graph123)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entries_rejected(self, graph123, bad):
+        bc = pg.bc_matrices(pg.PT_DIRICHLET, graph123)
+        for which in ("a", "b"):
+            m = getattr(bc, which).copy()
+            m[2, 4] = bad
+            with pytest.raises(pg.NonFiniteInput):
+                pg.BCMatrices(**{"a": bc.a, "b": bc.b, which: m}, family=pg.CUSTOM, n_bonds=3)
+
     def test_kirchhoff_annihilates_its_modes(self, basis123_k, graph123):
         bc = pg.bc_matrices(pg.KIRCHHOFF_REF, graph123)
         f = basis123_k.modes[0]
-        assert pg.bc_residual(bc, pg.trace_vectors(f, graph123)) < 1e-12
+        assert pg.bc_residual(bc, pg.trace_vectors(f)) < 1e-12
 
     def test_kirchhoff_rejects_generic_sine(self, graph123):
         # sin(k(L_j-x)) at generic k breaks vertex continuity
@@ -146,32 +166,32 @@ class TestBCMatrices:
 
         f = pg.bond_function(graph123, *([fn(j) for j in range(3)] for fn in (val, der, sec)))
         bc = pg.bc_matrices(pg.KIRCHHOFF_REF, graph123)
-        assert pg.bc_residual(bc, pg.trace_vectors(f, graph123)) > 0.1
+        assert pg.bc_residual(bc, pg.trace_vectors(f)) > 0.1
 
 
 class TestBCResidual:
     def test_zero_traces(self, graph123):
         bc = pg.bc_matrices(pg.PT_DIRICHLET, graph123)
-        t = pg.trace_vectors(pg.zero_function(graph123), graph123)
+        t = pg.trace_vectors(pg.zero_function(graph123))
         assert pg.bc_residual(bc, t) == 0.0
 
     def test_eigenmode_residual_small(self, basis123_d, graph123):
         bc = pg.bc_matrices(pg.PT_DIRICHLET, graph123)
         for mode in basis123_d.modes:
-            t = pg.trace_vectors(mode, graph123)
+            t = pg.trace_vectors(mode)
             assert pg.bc_residual(bc, t) < 1e-10
 
     def test_constant_one_violates_dirichlet_ends(self, graph123):
         one = lambda x: np.ones_like(np.asarray(x, dtype=float))
         f = pg.bond_function(graph123, [one] * 3, [zero] * 3, [zero] * 3)
         bc = pg.bc_matrices(pg.PT_DIRICHLET, graph123)
-        t = pg.trace_vectors(f, graph123)
+        t = pg.trace_vectors(f)
         assert pg.bc_residual(bc, t) == pytest.approx(math.sqrt(3), abs=1e-14)
 
     def test_dimension_mismatch(self, graph123):
         g2 = pg.make_star_graph([1.0, 2.0])
         bc = pg.bc_matrices(pg.PT_DIRICHLET, graph123)
-        t = pg.trace_vectors(pg.zero_function(g2), g2)
+        t = pg.trace_vectors(pg.zero_function(g2))
         with pytest.raises(pg.DimensionMismatch):
             pg.bc_residual(bc, t)
 
@@ -286,25 +306,28 @@ class TestInnerProducts:
 class TestOmegaForms:
     def test_zero_functions(self, graph123):
         z = pg.zero_function(graph123)
-        assert pg.omega_hermitian(z, z, graph123) == 0.0
-        assert pg.omega_pt(z, z, graph123) == 0.0
+        tz = pg.trace_vectors(z)
+        assert pg.omega_hermitian(tz, tz) == 0.0
+        assert pg.omega_pt(tz, tz) == 0.0
         assert pg.omega_direct(z, z, pg.HERMITIAN) == 0.0
 
-    @pytest.mark.parametrize("form", [pg.omega_hermitian, pg.omega_pt])
+    @pytest.mark.parametrize("form", [pg.omega_hermitian, pg.omega_pt, pg.omega_pt_symplectic])
     def test_function_on_other_graph_rejected(self, form, graph123, graph111):
-        here, there = pg.zero_function(graph123), pg.zero_function(graph111)
-        for f, g in ((there, here), (here, there)):
+        here = pg.trace_vectors(pg.zero_function(graph123))
+        there = pg.trace_vectors(pg.zero_function(graph111))
+        for tf, tg in ((there, here), (here, there)):
             with pytest.raises(pg.GraphMismatch):
-                form(f, g, graph123)
+                form(tf, tg)
 
     @pytest.mark.parametrize("form", [pg.omega_hermitian, pg.omega_pt])
     def test_non_finite_endpoint_rejected(self, form, graph123):
+        # the trace table refuses the endpoint, so no form ever reads it
         bad = lambda x: np.full_like(np.asarray(x, dtype=float), np.nan)
         f = pg.bond_function(graph123, [zero] * 3, [zero, zero, bad], [zero] * 3)
         z = pg.zero_function(graph123)
         for args in ((f, z), (z, f)):
             with pytest.raises(pg.EvaluationFailure):
-                form(*args, graph123)
+                form(*(pg.trace_vectors(h) for h in args))
 
     def test_hermitian_skewness_on_diagonal(self, graph123):
         rng = np.random.default_rng(7)
@@ -312,7 +335,8 @@ class TestOmegaForms:
         # Omega(f,f) must satisfy conj(Omega) = -Omega, i.e. real part 0
         val = pg.omega_direct(f, f, pg.HERMITIAN)
         assert abs(val.real) < 1e-9
-        val_b = pg.omega_hermitian(f, f, graph123)
+        tf = pg.trace_vectors(f)
+        val_b = pg.omega_hermitian(tf, tf)
         assert abs(val_b.real) < 1e-12
 
     def test_sine_vs_linear_matches_direct(self, graph123):
@@ -322,35 +346,36 @@ class TestOmegaForms:
         one = lambda x: np.ones_like(np.asarray(x, dtype=float))
         g = pg.bond_function(graph123, [ident] * 3, [one] * 3, [zero] * 3)
         direct = pg.omega_direct(f, g, pg.HERMITIAN)
-        boundary = pg.omega_hermitian(f, g, graph123)
+        boundary = pg.omega_hermitian(pg.trace_vectors(f), pg.trace_vectors(g))
         assert abs(direct - boundary) < 1e-6
 
     def test_kirchhoff_modes_annihilate_hermitian_form(self, basis123_k, graph123):
-        funcs = basis123_k.modes[:4]
-        for f in funcs:
-            for g in funcs:
-                assert abs(pg.omega_hermitian(f, g, graph123)) < 1e-9
+        traces = [pg.trace_vectors(f) for f in basis123_k.modes[:4]]
+        for tf in traces:
+            for tg in traces:
+                assert abs(pg.omega_hermitian(tf, tg)) < 1e-9
 
     def test_pt_modes_annihilate_pt_form(self, basis123_d, basis123_n, graph123):
         for basis in (basis123_d, basis123_n):
-            funcs = basis.modes[:5]
-            for f in funcs:
-                for g in funcs:
-                    assert abs(pg.omega_pt(f, g, graph123)) < 1e-8
+            traces = [pg.trace_vectors(f) for f in basis.modes[:5]]
+            for tf in traces:
+                for tg in traces:
+                    assert abs(pg.omega_pt(tf, tg)) < 1e-8
 
     def test_pt_modes_do_not_annihilate_hermitian_form(self, basis123_d, graph123):
         f = basis123_d.modes[0]
         g = basis123_d.modes[1]
-        assert abs(pg.omega_hermitian(f, g, graph123)) > 1e-3
+        assert abs(pg.omega_hermitian(pg.trace_vectors(f), pg.trace_vectors(g))) > 1e-3
 
     def test_randomized_boundary_vs_volume(self, graph123):
         rng = np.random.default_rng(42)
         for _ in range(50):
             f = random_trig(graph123, rng)
             g = random_trig(graph123, rng)
-            assert abs(pg.omega_hermitian(f, g, graph123) - pg.omega_direct(f, g, pg.HERMITIAN)) < 1e-6
-            assert abs(pg.omega_pt(f, g, graph123) - pg.omega_direct(f, g, pg.PT)) < 1e-6
-            assert abs(pg.omega_pt(f, g, graph123) - pg.omega_pt_symplectic(f, g, graph123)) < 1e-12
+            tf, tg = pg.trace_vectors(f), pg.trace_vectors(g)
+            assert abs(pg.omega_hermitian(tf, tg) - pg.omega_direct(f, g, pg.HERMITIAN)) < 1e-6
+            assert abs(pg.omega_pt(tf, tg) - pg.omega_direct(f, g, pg.PT)) < 1e-6
+            assert abs(pg.omega_pt(tf, tg) - pg.omega_pt_symplectic(tf, tg)) < 1e-12
 
     @pytest.mark.parametrize("name", ["basis123_d", "basis123_n", "basis123_k"])
     def test_direct_equals_boundary_forms_on_modes_and_state(self, name, graph123, request):
@@ -362,8 +387,9 @@ class TestOmegaForms:
             for g in funcs:
                 herm = pg.omega_direct(f, g, pg.HERMITIAN, 2001)
                 pt = pg.omega_direct(f, g, pg.PT, 2001)
-                assert abs(herm - pg.omega_hermitian(f, g, graph123)) < 1e-7
-                assert abs(pt - pg.omega_pt(f, g, graph123)) < 1e-7
+                tf, tg = pg.trace_vectors(f), pg.trace_vectors(g)
+                assert abs(herm - pg.omega_hermitian(tf, tg)) < 1e-7
+                assert abs(pt - pg.omega_pt(tf, tg)) < 1e-7
 
     @pytest.mark.parametrize("resolution", [3, 5])
     def test_direct_is_exact_for_quadratics_on_the_coarsest_grids(self, graph123, resolution):
@@ -378,10 +404,11 @@ class TestOmegaForms:
             return pg.bond_function(graph123, *tables)
 
         f, g = build(1.0 + 0.5j, -0.3, 0.7j), build(0.2, 1.1 - 0.4j, -0.6)
+        tf, tg = pg.trace_vectors(f), pg.trace_vectors(g)
         for product, boundary in ((pg.HERMITIAN, pg.omega_hermitian), (pg.PT, pg.omega_pt)):
             direct = pg.omega_direct(f, g, product, resolution)
-            assert abs(boundary(f, g, graph123)) > 1.0
-            assert direct == pytest.approx(boundary(f, g, graph123), abs=1e-12)
+            assert abs(boundary(tf, tg)) > 1.0
+            assert direct == pytest.approx(boundary(tf, tg), abs=1e-12)
 
     def test_unknown_product_tag(self, graph123):
         z = pg.zero_function(graph123)
@@ -435,6 +462,13 @@ class TestCPTInner:
             total += np.dot(w, cpt_f * gv)
         lib = pg.cpt_inner(f, f, basis_inc_d, truncation=trunc, resolution=n_pts)
         assert abs(lib - total) < 1e-8
+
+    def test_basis_on_other_graph_rejected(self, basis_inc_d, graph_inc):
+        f = pg.trig_function(graph_inc, [[(1.0, 2.0, 0.3)]] * 3)
+        other = pg.build_basis(pg.make_star_graph([2.0, 1.3, 1.7]), pg.PT_DIRICHLET, 20.0)
+        assert abs(pg.cpt_inner(f, f, basis_inc_d, truncation=5)) > 0.0
+        with pytest.raises(pg.GraphMismatch):
+            pg.cpt_inner(f, f, other, truncation=5)
 
     def test_truncation_validation(self, basis_inc_d, graph_inc):
         z = pg.zero_function(graph_inc)
@@ -523,7 +557,7 @@ class TestModesAndStatesAreBondFunctions:
 
         def forms(f, g):
             combined = pg.combine([f, g], [1.0, 0.5j - 0.2])
-            tf = pg.trace_vectors(f, graph123)
+            tf, tg = pg.trace_vectors(f), pg.trace_vectors(g)
             projected = pg.project(f, basis123_d, res)
             sampled = [
                 combined.evaluate(j, np.linspace(0.0, graph123.length(j), 9), order)
@@ -532,8 +566,7 @@ class TestModesAndStatesAreBondFunctions:
             return bits(
                 pg.l2_inner(f, g, res), pg.l2_inner(f, f, res), pg.pt_inner(f, g, res),
                 pg.cpt_inner(f, g, basis123_d, truncation=5, resolution=res),
-                pg.omega_hermitian(f, g, graph123), pg.omega_pt(f, g, graph123),
-                pg.omega_pt_symplectic(f, g, graph123),
+                pg.omega_hermitian(tf, tg), pg.omega_pt(tf, tg), pg.omega_pt_symplectic(tf, tg),
                 pg.omega_direct(f, g, pg.HERMITIAN, res), pg.omega_direct(f, g, pg.PT, res),
                 tf.psi, tf.dpsi, *sampled,
                 projected.state.coeffs, projected.residual, projected.gram_cond,
@@ -570,3 +603,26 @@ class TestDerivativeOrders:
             assert np.all(np.isfinite(evaluate(1, 0.3, order_ok)))
         with pytest.raises(pg.OutOfDomain, match="derivative order"):
             evaluate(1, 0.3, order)
+
+
+class TestBondRange:
+    """A bond outside 1..N is refused, never read as a Python index."""
+
+    @pytest.fixture
+    def functions(self, graph123):
+        trig = pg.trig_function(graph123, [[(1.0, 1.0 + j, 0.3)] for j in range(3)])
+        return {
+            "trig_function": trig,
+            "zero_function": pg.zero_function(graph123),
+            "bond_function": rebuilt(trig),
+            "combine": pg.combine([trig, rebuilt(trig)], [1.0, 2.0]),
+        }
+
+    @pytest.mark.parametrize("kind", ["trig_function", "zero_function", "bond_function", "combine"])
+    @pytest.mark.parametrize("bond", [0, -1, 4])
+    def test_bond_out_of_range_raises(self, functions, kind, bond):
+        f = functions[kind]
+        for order in (0, 1, 2):
+            assert np.all(np.isfinite(f.evaluate(3, 0.3, order)))
+            with pytest.raises(pg.OutOfDomain, match="bond index"):
+                f.evaluate(bond, 0.3, order)

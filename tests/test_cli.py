@@ -331,6 +331,37 @@ class TestVerify:
         assert cp.returncode == 2
         assert "--family" in cp.stderr
 
+    @pytest.mark.parametrize("entry, block", [("nan", 0), ("inf", 6)])
+    def test_non_finite_custom_entry_is_a_usage_error(self, tmp_path: Path, entry, block):
+        # A = identity, B = 0, with one entry of A (block 0) or of B (block 6) non-finite
+        rows = [["1" if j == i else "0" for j in range(12)] for i in range(6)]
+        rows[2][block + 1] = entry
+        path = tmp_path / "ab.txt"
+        path.write_text("\n".join(" ".join(r) for r in rows) + "\n")
+        cp = run_cli("verify", "--lengths", "1,1.5,2", "--family", f"custom:{path}")
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert cp.stderr.startswith("error: --family:") and "finite" in cp.stderr
+
+    @pytest.mark.parametrize("args, evaluations", [
+        (("--lengths", "1.2,1.45,1.05,1.9", "--kmax", "25"), 4 * 4 * 5),
+        (("--lengths", "1,1.3,1.7", "--family", "kirchhoff-ref"), 4 * 3 * 5),
+    ])
+    def test_endpoints_are_evaluated_once_per_mode(self, monkeypatch, capsys, args, evaluations):
+        # one trace table per mode: f and f' at both ends of each of the N bonds
+        scalar_calls = []
+        evaluate = spectral.EigenMode.evaluate
+
+        def counted(self, bond, x, order=0):
+            if np.ndim(x) == 0:
+                scalar_calls.append((self.k, bond, x, order))
+            return evaluate(self, bond, x, order)
+
+        monkeypatch.setattr(spectral.EigenMode, "evaluate", counted)
+        assert cli.main(["verify", *args]) == 0
+        assert "result: PASS" in capsys.readouterr().out
+        assert len(scalar_calls) == len(set(scalar_calls)) == evaluations
+
     def test_report_written_to_file(self, tmp_path: Path):
         out = tmp_path / "report.txt"
         cp = run_cli(
