@@ -100,6 +100,8 @@ class RunConfig:
             raise UsageError("--kmax", f"must be a positive number, got {args.kmax}")
         if not (args.tol > 0 and math.isfinite(args.tol)):
             raise UsageError("--tol", f"must be a positive number, got {args.tol}")
+        if args.tol >= args.kmax:
+            raise UsageError("--tol", f"must be below --kmax ({args.kmax}), got {args.tol}")
         if args.resolution < 3 or args.resolution % 2 == 0:
             raise UsageError("--resolution", f"must be an odd integer >= 3, got {args.resolution}")
         if args.precision < 1 or args.precision > 17:
@@ -239,6 +241,8 @@ def _parse_coeffs(raw: str, n_modes: int) -> np.ndarray:
             vals = [complex(t) for t in toks]
         except ValueError as exc:
             raise UsageError("--coeffs", f"could not parse coefficient: {exc}")
+        if not np.all(np.isfinite(vals)):
+            raise UsageError("--coeffs", f"coefficients must be finite, got {raw!r}")
         if len(vals) > n_modes:
             raise UsageError(
                 "--coeffs", f"{len(vals)} coefficients given but only {n_modes} modes available"

@@ -107,6 +107,14 @@ class TestSpectrum:
         assert flag in cp.stderr
 
 
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+@pytest.mark.parametrize("tol", ["5", "1"])
+def test_tol_not_below_kmax_is_a_usage_error(capsys, command, tol):
+    assert cli.main([command, "--lengths", "1,2", "--kmax", "1", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert "--tol" in captured.err and captured.out == ""
+
+
 class TestModes:
     def test_profiles_and_norm_checks(self, tmp_path: Path):
         out = tmp_path / "modes.csv"
@@ -272,6 +280,22 @@ class TestEvolve:
         cp = run_cli("evolve", "--lengths", "1,1.5,2", "--coeffs", "ramp:3")
         assert cp.returncode == 2
         assert "--coeffs" in cp.stderr
+
+    @pytest.mark.parametrize("raw", ["list:nan", "list:inf,1", "list:0.5,nanj"])
+    def test_non_finite_coefficient_is_a_usage_error(self, tmp_path: Path, capsys, raw):
+        out = tmp_path / "j.csv"
+        argv = ["evolve", "--lengths", "1,1.3,1.7", "--coeffs", raw, "--tsteps", "3", "--out", str(out)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "--coeffs" in captured.err and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+    def test_memory_does_not_grow_with_time_steps(self, tmp_path: Path):
+        common = ("evolve", "--lengths", "1.0,1.5,2.0", "--coeffs", "equal:5", "--kmax", "80")
+        short = peak_rss_kb(*common, "--tsteps", "250", "--out", str(tmp_path / "a.csv"))
+        long = peak_rss_kb(*common, "--tsteps", "20000", "--out", str(tmp_path / "b.csv"))
+        assert long - short < 3 * 1024
 
 
 class TestVerify:
@@ -511,8 +535,8 @@ class TestArtifacts:
 
 class TestEntryPoints:
     def test_import_loads_no_test_only_packages(self):
-        # scipy, mpmath and hypothesis serve the tests; importing them at run
-        # time would add to every process start
+        # hypothesis serves the tests and scipy and mpmath the offline oracles;
+        # importing them at run time would add to every process start
         code = "import sys, ptgraph; print(sorted({'scipy', 'mpmath', 'hypothesis'} & set(sys.modules)))"
         cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert cp.returncode == 0, cp.stderr

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ptgraph as pg
+from ptgraph import dynamics
 from util import GOLDEN_MAX_CURRENT_D, GOLDEN_MAX_CURRENT_N, fd_derivative
 
 
@@ -109,15 +110,27 @@ class TestProject:
         basis = pg.build_basis(graph_inc, pg.PT_DIRICHLET, 60.0, resolution=2001)
         basis = dataclasses.replace(basis, modes=basis.modes[:n_modes])
         target = pg.combine(basis.modes[:3], [1.0, 0.5j, -0.3])
-        tracemalloc.start()
-        try:
-            res = pg.project(target, basis, resolution)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert res.residual < 1e-12
+        peaks = []
+        for points in (resolution, 4 * resolution - 3):
+            tracemalloc.start()
+            try:
+                res = pg.project(target, basis, points)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert res.residual < 1e-12
         # one (modes x points) float matrix is n_modes * resolution * 8 bytes
-        assert peak < 1.8 * n_modes * resolution * 8
+        assert peaks[0] < 1.8 * n_modes * resolution * 8
+        # the profiles are read in slices, so four times the points cost no more
+        assert peaks[1] < 1.3 * peaks[0]
+
+    @pytest.mark.parametrize("name", ["basis123_d", "basis123_n", "basis123_k", "basis_inc_d"])
+    def test_gram_cond_matches_numpy_cond(self, name, request):
+        basis = request.getfixturevalue(name)
+        funcs = basis.modes
+        gram = np.array([[pg.l2_inner(f, g) for g in funcs] for f in funcs])
+        res = pg.project(funcs[0], basis)
+        assert res.gram_cond == pytest.approx(np.linalg.cond(gram), rel=1e-8)
 
 
 class TestCptInner:
@@ -263,6 +276,44 @@ class TestCurrentSeries:
             vc = pg.vertex_current(pg.evolve(s, t))
             assert series.total[i] == vc.total
             assert np.array_equal(series.per_bond[:, i], vc.per_bond)
+
+    @pytest.mark.parametrize("slices,extra", [(1, -1), (1, 0), (1, 1), (3, 7)],
+                             ids=["S-1", "S", "S+1", "3S+7"])
+    def test_slices_change_no_bit(self, slices, extra, basis_inc_n, monkeypatch):
+        # a budget of S = 8 time steps at this mode count keeps the check cheap
+        m = len(basis_inc_n.modes)
+        monkeypatch.setattr(dynamics, "_SLICE", 8 * m + 3)
+        n = 8 * slices + extra
+        s = pg.WaveState(basis=basis_inc_n, coeffs=np.exp(0.7j * np.arange(m)) / (1.0 + np.arange(m)))
+        series = pg.current_series(s, np.linspace(0.0, 1.0, n))
+        for i, t in enumerate(series.times):
+            vc = pg.vertex_current(pg.evolve(s, t))
+            assert series.total[i] == vc.total
+            assert np.array_equal(series.per_bond[:, i], vc.per_bond)
+
+    def test_slice_budget_changes_no_bit(self, basis_inc_n, monkeypatch):
+        m = len(basis_inc_n.modes)
+        s = pg.WaveState(basis=basis_inc_n, coeffs=np.exp(0.3j * np.arange(m)))
+        times = np.linspace(0.0, 2.0, 3 * (dynamics._SLICE // m) + 7)
+        sliced = pg.current_series(s, times)
+        monkeypatch.setattr(dynamics, "_SLICE", m * times.size)
+        whole = pg.current_series(s, times)
+        assert sliced.total.tobytes() == whole.total.tobytes()
+        assert sliced.per_bond.tobytes() == whole.per_bond.tobytes()
+
+    def test_working_memory_is_output_plus_a_constant(self, basis_inc_n):
+        m = len(basis_inc_n.modes)
+        s = pg.WaveState(basis=basis_inc_n, coeffs=np.exp(0.3j * np.arange(m)))
+        times = np.linspace(0.0, 2.0, 50 * (dynamics._SLICE // m))
+        tracemalloc.start()
+        try:
+            series = pg.current_series(s, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = series.times.nbytes + series.total.nbytes + series.per_bond.nbytes
+        # a whole (times x modes) complex phase matrix would be 50 * 16 * _SLICE bytes
+        assert peak < output + 4 * 16 * dynamics._SLICE
 
     def test_scaling_is_quadratic(self, basis123_d):
         base = pg.evolve(equal_state(basis123_d), 0.33)
