@@ -32,7 +32,7 @@ from .errors import (
     OutOfDomain,
     UnknownFamily,
 )
-from .graph import DEFAULT_RESOLUTION, MetricStarGraph, bond_grid, quadrature, simpson_weights
+from .graph import DEFAULT_RESOLUTION, MetricStarGraph, _grid_slices, bond_grid, quadrature
 
 # family tags (shared with the spectral module and the CLI)
 PT_DIRICHLET = "pt-dirichlet"
@@ -167,13 +167,13 @@ def _sample(f: BondFunction, bond: int, pts: np.ndarray, order: int = 0) -> np.n
     return out
 
 
-def _bond_samples(basis, resolution: int):
-    """Per bond of the basis graph: the bond, its grid points, its Simpson
-    weights and the basis profiles on the grid (modes x points)."""
+def _bond_samples(basis, resolution: int, budget: int | None = None):
+    """(bond, points, Simpson weights, basis profiles there (modes x points)) over
+    the bond grids of the basis graph: one slice per bond if budget is None
+    (cpt_inner), else slices of at most `budget` profile elements (project)."""
     for j in range(1, basis.graph.n_bonds + 1):
-        grid = bond_grid(basis.graph, j, resolution)
-        w = simpson_weights(grid.count, grid.spacing)
-        yield j, grid.points, w, basis.profiles(j, grid.points)
+        for x, w in _grid_slices(basis.graph, j, resolution, len(basis.modes), budget):
+            yield j, x, w, basis.profiles(j, x)
 
 
 def _real_matvec(phi: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -310,8 +310,6 @@ def check_ab_symmetry(bc: BCMatrices) -> float:
     self-adjoint vertex coupling; the PT families are intentionally nonzero
     here (sqrt(2N) for the built-ins).
     """
-    if bc.a.shape != bc.b.shape:
-        raise DimensionMismatch("A and B must have equal shapes")
     b_inward = bc.b @ _outer_end_swap(bc.n_bonds)
     defect = bc.a @ b_inward.conj().T - b_inward @ bc.a.conj().T
     return float(np.linalg.norm(defect))
@@ -391,12 +389,14 @@ def cpt_inner(
     with unscaled modes the sign of that self-product leaks through. The mode
     sum is truncated at `truncation` and the result depends on it. `basis`
     is a SpectralBasis on the graph of f and g.
+    The grid is not sliced, since the reflected self-product pairs each point
+    with its mirror L - x: one (truncation x points) matrix is held per bond.
     """
     graph = _check_same_graph(f, g)
     if basis.graph != graph:
         raise GraphMismatch("basis lives on a different graph")
-    if truncation < 1:
-        raise InsufficientBasis(f"truncation must be >= 1, got {truncation}")
+    if not isinstance(truncation, (int, np.integer)) or truncation < 1:
+        raise InsufficientBasis(f"truncation must be an integer >= 1, got {truncation!r}")
     if len(basis.modes) < truncation:
         raise InsufficientBasis(
             f"kernel truncated at {truncation} but basis holds only {len(basis.modes)} modes"

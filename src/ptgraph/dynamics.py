@@ -17,15 +17,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boundary import BondFunction, _real_matvec, _sample, _weighted_sum
+from .boundary import BondFunction, _bond_samples, _real_matvec, _sample, _weighted_sum
 from .errors import (
     DimensionMismatch,
     EmptyBasis,
     GraphMismatch,
+    NonFiniteInput,
     SingularGram,
     UnsortedGrid,
 )
-from .graph import DEFAULT_RESOLUTION, bond_grid
+from .graph import DEFAULT_RESOLUTION, _slices
 from .spectral import SpectralBasis, _check_domain
 
 #: projection refuses Gram systems beyond this condition number
@@ -34,12 +35,6 @@ GRAM_COND_LIMIT = 1e12
 #: elements of the (modes x points) profile slices of project and of the
 #: (modes x times) phase slices of current_series; bounds their working memory
 _SLICE = 65536
-
-
-def _slices(n: int, n_modes: int):
-    """Consecutive slices covering range(n), each of at most _SLICE // n_modes items."""
-    step = max(1, _SLICE // max(1, n_modes))
-    return (slice(i, min(i + step, n)) for i in range(0, n, step))
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +60,7 @@ class WaveState(BondFunction):
 
     def _phased(self, t) -> np.ndarray:
         """C_n exp(-i k_n^2 t) for a time t, or one row per time for a column t."""
-        ks = np.array([m.k for m in self.basis.modes])
+        ks = self.basis._ks
         out = -1j * ks * ks * t
         np.exp(out, out=out)
         return np.multiply(self.coeffs, out, out=out)
@@ -92,28 +87,6 @@ class ProjectionResult:
     gram_cond: float
 
 
-def _sliced_samples(basis: SpectralBasis, resolution: int):
-    """Per bond of the basis graph and slice of its grid: the bond, the points,
-    their Simpson weights and the basis profiles there (modes x points). Only
-    the grid's count and spacing are kept, so nothing of the size of the
-    grid stays alive; the points and weights equal those of bond_grid and
-    simpson_weights."""
-    for j in range(1, basis.graph.n_bonds + 1):
-        grid = bond_grid(basis.graph, j, resolution)
-        last, h = grid.count - 1, grid.spacing
-        del grid
-        for s in _slices(last + 1, len(basis.modes)):
-            x = np.arange(s.start, s.stop) * h
-            w = np.full(x.size, 2.0)
-            w[(s.start + 1) % 2 :: 2] = 4.0  # the odd grid indices
-            if s.start == 0:
-                w[0] = 1.0
-            if s.stop > last:
-                x[-1], w[-1] = basis.graph.length(j), 1.0  # linspace pins its endpoint
-            w *= h / 3.0
-            yield j, x, w, basis.profiles(j, x)
-
-
 def project(
     initial: BondFunction,
     basis: SpectralBasis,
@@ -123,19 +96,19 @@ def project(
 
     No orthogonality is assumed: coefficients come from G C = b with
     G_mn = <phi_m, phi_n> and b_m = <initial, phi_m>. Both quadrature passes
-    read the profiles in slices of at most _SLICE (modes x points) elements,
-    so working memory does not grow with `resolution`. The real symmetric G
-    is factored once, G = V diag(lam) V^T, giving C = V (V^T b / lam) and the
-    condition number lam_max / lam_min (inf if lam_min <= 0). The
-    reconstruction residual ||initial - sum C_n phi_n||_L2 is reported, not
-    raised on; a condition number beyond GRAM_COND_LIMIT raises SingularGram.
+    read the profiles from _bond_samples in slices of at most _SLICE (modes x
+    points) elements, so working memory does not grow with `resolution`. The
+    real symmetric G is factored once, G = V diag(lam) V^T, giving
+    C = V (V^T b / lam) and the condition number lam_max / lam_min (inf if
+    lam_min <= 0). The residual ||initial - sum C_n phi_n||_L2 is reported,
+    not raised on; a condition number beyond GRAM_COND_LIMIT raises SingularGram.
     """
     if not basis.modes:
         raise EmptyBasis("cannot project onto a basis with no modes")
     if initial.graph != basis.graph:
         raise GraphMismatch("initial state lives on a different graph")
     gram, rhs = 0.0, 0j
-    for bond, x, w, phi in _sliced_samples(basis, resolution):
+    for bond, x, w, phi in _bond_samples(basis, resolution, _SLICE):
         phi *= np.sqrt(w)  # in place: phi @ phi.T is then this slice's Gram block
         gram += phi @ phi.T
         rhs += _real_matvec(phi, np.sqrt(w) * _sample(initial, bond, x))
@@ -146,7 +119,7 @@ def project(
         raise SingularGram(f"Gram condition number {cond:.3g} exceeds {GRAM_COND_LIMIT:g}")
     coeffs = _real_matvec(vec, _real_matvec(vec.T, rhs) / lam)
     err2 = 0.0
-    for bond, x, w, phi in _sliced_samples(basis, resolution):
+    for bond, x, w, phi in _bond_samples(basis, resolution, _SLICE):
         err2 += w @ np.abs(_sample(initial, bond, x) - _real_matvec(phi.T, coeffs)) ** 2
         del phi
     return ProjectionResult(WaveState(basis, coeffs), residual=float(np.sqrt(err2)), gram_cond=cond)
@@ -154,7 +127,10 @@ def project(
 
 def evolve(state: WaveState, t: float) -> WaveState:
     """Same coefficients at a new time; phases are applied on evaluation."""
-    return dataclasses.replace(state, t=float(t))
+    t = float(t)
+    if not np.isfinite(t):
+        raise NonFiniteInput(f"time is not finite: {t!r}")
+    return dataclasses.replace(state, t=t)
 
 
 def bond_current(state: WaveState, bond: int, x: float) -> float:
@@ -180,7 +156,7 @@ def _vertex_currents(state: WaveState, times: np.ndarray) -> np.ndarray:
     ends = [(basis.profiles(bond, 0.0), basis.profiles(bond, 0.0, order=1))
             for bond in range(1, basis.graph.n_bonds + 1)]
     out = np.empty((times.size, basis.graph.n_bonds))
-    for s in _slices(times.size, len(basis.modes)):
+    for s in _slices(times.size, len(basis.modes), _SLICE):
         phased = state._phased(times[s, None]).T
         for col, (value, slope) in enumerate(ends):
             psi = _weighted_sum(phased, value)
@@ -209,7 +185,7 @@ class CurrentSeries:
 
 
 def current_series(state: WaveState, t_grid) -> CurrentSeries:
-    """Evaluate the vertex current at each time of a strictly increasing grid.
+    """Evaluate the vertex current at each time of a strictly increasing, finite grid.
 
     The phases are formed over slices of the time axis, so beyond its output
     the working memory does not grow with the grid; each current equals
@@ -217,6 +193,8 @@ def current_series(state: WaveState, t_grid) -> CurrentSeries:
     times = np.asarray(t_grid, dtype=float)
     if times.ndim != 1:
         raise UnsortedGrid("time grid must be one-dimensional")
+    if not np.isfinite(times).all():
+        raise NonFiniteInput("time grid has a non-finite entry")
     if times.size and np.any(np.diff(times) <= 0):
         raise UnsortedGrid("time grid must be strictly increasing")
     currents = _vertex_currents(state, times)

@@ -73,8 +73,8 @@ class BondGrid:
 
 def _check_point_count(count: int):
     """Raise EvenPointCount unless Simpson quadrature can use `count` points."""
-    if count < 3 or count % 2 == 0:
-        raise EvenPointCount(f"Simpson quadrature needs an odd point count >= 3, got {count}")
+    if not isinstance(count, (int, np.integer)) or count < 3 or count % 2 == 0:
+        raise EvenPointCount(f"Simpson quadrature needs an odd integer point count >= 3, got {count!r}")
 
 
 def bond_grid(graph: MetricStarGraph, bond: int, count: int = DEFAULT_RESOLUTION) -> BondGrid:
@@ -93,8 +93,7 @@ def quadrature(values, grid: BondGrid) -> complex:
     vals = np.asarray(values, dtype=complex)
     if vals.shape != (grid.count,):
         raise LengthMismatch(f"expected {grid.count} samples, got shape {vals.shape}")
-    if grid.count % 2 == 0:
-        raise EvenPointCount(f"point count {grid.count} is even")
+    _check_point_count(grid.count)
     h = grid.spacing
     acc = vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-1:2].sum()
     return complex(acc * h / 3.0)
@@ -103,7 +102,28 @@ def quadrature(values, grid: BondGrid) -> complex:
 def simpson_weights(count: int, spacing: float) -> np.ndarray:
     """Simpson weight vector, so that integral = weights @ samples."""
     _check_point_count(count)
-    w = np.full(count, 2.0)
-    w[1:-1:2] = 4.0
-    w[0] = w[-1] = 1.0
-    return w * (spacing / 3.0)
+    return _simpson_at(np.arange(count), count, spacing)
+
+
+def _simpson_at(i: np.ndarray, count: int, spacing: float) -> np.ndarray:
+    """simpson_weights(count, spacing)[i] for an array i of grid indices."""
+    return np.where((i == 0) | (i == count - 1), 1.0, 2.0 + 2.0 * (i % 2)) * (spacing / 3.0)
+
+
+def _slices(n: int, width: int, budget: int | None):
+    """Consecutive slices covering range(n): one if budget is None, else each
+    of at most budget // width items (at least one)."""
+    step = max(1, n if budget is None else budget // max(1, width))
+    return (slice(i, min(i + step, n)) for i in range(0, n, step))
+
+
+def _grid_slices(graph: MetricStarGraph, bond: int, count: int, width: int, budget: int | None):
+    """The points of bond_grid(graph, bond, count) and their simpson_weights, as
+    (points, weights) over _slices(count, width, budget). Joined, they equal
+    both bit for bit: linspace steps from 0 by L / (count - 1) and pins L."""
+    _check_point_count(count)
+    length = graph.length(bond)
+    h = length / (count - 1)
+    for s in _slices(count, width, budget):
+        i = np.arange(s.start, s.stop)
+        yield np.where(i < count - 1, i * h, length), _simpson_at(i, count, h)

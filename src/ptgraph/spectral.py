@@ -37,7 +37,7 @@ from .errors import (
     OutOfDomain,
     UnknownFamily,
 )
-from .graph import DEFAULT_RESOLUTION, MetricStarGraph, _check_point_count
+from .graph import DEFAULT_RESOLUTION, MetricStarGraph, _check_point_count, _slices
 
 #: default lower cut-off of the root window (excludes k = 0)
 DEFAULT_ROOT_TOL = 1e-12
@@ -150,10 +150,8 @@ def _rolle_bound(a, b, h, lengths):
     elements. Every step works row by row, so the bound of each piece does not
     depend on the slice size."""
     l_sq = lengths * lengths
-    rows = max(1, _ROLLE_SLICE // lengths.size)
     bound = np.empty(a.size)
-    for start in range(0, a.size, rows):
-        s = slice(start, start + rows)
+    for s in _slices(a.size, lengths.size, _ROLLE_SLICE):
         u = np.abs(np.sin(a[s, None] * lengths)) + np.abs(np.sin(b[s, None] * lengths))
         u = np.minimum(1.0, 0.5 * (u + lengths * h[s, None]))
         w = lengths / u
@@ -391,10 +389,9 @@ def evaluate_mode_deriv(mode: EigenMode, bond: int, x: float) -> complex:
 
 
 def _check_domain(graph: MetricStarGraph, bond: int, x: float):
-    if not 1 <= bond <= graph.n_bonds:
-        raise OutOfDomain(f"bond {bond} not in 1..{graph.n_bonds}")
-    if not 0.0 <= x <= graph.length(bond):
-        raise OutOfDomain(f"x = {x} outside [0, {graph.length(bond)}] on bond {bond}")
+    lj = graph.length(bond)
+    if not 0.0 <= x <= lj:
+        raise OutOfDomain(f"x = {x} outside [0, {lj}] on bond {bond}")
 
 
 @dataclass(frozen=True)
@@ -419,6 +416,11 @@ class SpectralBasis:
         for m in self.modes:
             if m.family != self.family or m.graph != self.graph:
                 raise DimensionMismatch("all modes must share the basis family and graph")
+        # the mode arrays that profiles reads, built once; math.sin keeps EigenMode's bits
+        object.__setattr__(self, "_ks", np.array(ks))
+        object.__setattr__(self, "_norms", np.array([m.norm_const for m in self.modes]))
+        sines = [[math.sin(k * l) for k in ks] for l in self.graph.lengths]
+        object.__setattr__(self, "_sines", np.array(sines))
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -429,9 +431,8 @@ class SpectralBasis:
         lj = self.graph.length(bond)
         x = np.asarray(x, dtype=float)
         column = (-1,) + (1,) * x.ndim
-        k = np.array([m.k for m in self.modes]).reshape(column)
-        norm = np.array([m.norm_const for m in self.modes]).reshape(column)
-        sines = np.array([math.sin(m.k * lj) for m in self.modes]).reshape(column)
+        rows = (self._ks, self._norms, self._sines[bond - 1])
+        k, norm, sines = (a.reshape(column) for a in rows)
         return _profile(k, norm, sines, lj, x, self.family in _SIN_FAMILIES, order)
 
 

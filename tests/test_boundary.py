@@ -253,6 +253,13 @@ class TestInnerProducts:
         f = pg.bond_function(g, [one] * 3, [zero] * 3, [zero] * 3)
         assert pg.l2_inner(f, f) == pytest.approx(3.0, abs=1e-12)
 
+    @pytest.mark.parametrize("resolution", [5.0, 2001.5])
+    def test_non_integer_resolution_is_typed(self, graph123, resolution):
+        f = pg.trig_function(graph123, [[(1.0, 1.0, 0.3)]] * 3)
+        for product in (pg.l2_inner, pg.pt_inner, pg.omega_direct):
+            with pytest.raises(pg.EvenPointCount):
+                product(f, f, resolution=resolution)
+
     def test_l2_sine_orthogonality(self):
         g = unit_graph()
         f = pg.trig_function(g, [[(1.0, np.pi, 0.0)]] * 3)
@@ -476,6 +483,20 @@ class TestCPTInner:
             pg.cpt_inner(z, z, basis_inc_d, truncation=0)
         with pytest.raises(pg.InsufficientBasis):
             pg.cpt_inner(z, z, basis_inc_d, truncation=len(basis_inc_d.modes) + 1)
+        for bad in (2.5, 2.0, "2", None):
+            with pytest.raises(pg.InsufficientBasis):
+                pg.cpt_inner(z, z, basis_inc_d, truncation=bad)
+
+    def test_numpy_integer_truncation_accepted(self, basis_inc_d):
+        f = basis_inc_d.modes[1]
+        assert pg.cpt_inner(f, f, basis_inc_d, truncation=np.int64(4)) == pg.cpt_inner(
+            f, f, basis_inc_d, truncation=4
+        )
+
+    def test_non_integer_resolution_is_typed(self, basis_inc_d):
+        f = basis_inc_d.modes[0]
+        with pytest.raises(pg.EvenPointCount):
+            pg.cpt_inner(f, f, basis_inc_d, truncation=3, resolution=2001.0)
 
 
 class TestBondFunction:

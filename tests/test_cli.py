@@ -535,9 +535,11 @@ class TestArtifacts:
 
 class TestEntryPoints:
     def test_import_loads_no_test_only_packages(self):
-        # hypothesis serves the tests and scipy and mpmath the offline oracles;
-        # importing them at run time would add to every process start
-        code = "import sys, ptgraph; print(sorted({'scipy', 'mpmath', 'hypothesis'} & set(sys.modules)))"
+        # hypothesis serves the tests and scipy and mpmath the offline oracles,
+        # and only `python -m ptgraph` needs the CLI and argparse; importing
+        # any of them at run time would add to every process start
+        unwanted = "{'scipy', 'mpmath', 'hypothesis', 'ptgraph.cli', 'argparse'}"
+        code = f"import sys, ptgraph; print(sorted({unwanted} & set(sys.modules)))"
         cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert cp.returncode == 0, cp.stderr
         assert cp.stdout.strip() == "[]"

@@ -124,6 +124,26 @@ class TestProject:
         # the profiles are read in slices, so four times the points cost no more
         assert peaks[1] < 1.3 * peaks[0]
 
+    @pytest.mark.parametrize("points", [1, 7, 500])
+    def test_slices_agree_with_one_slice_per_bond(self, basis_inc_d, graph_inc, monkeypatch, points):
+        rng = np.random.default_rng(11)
+        terms = [[(complex(*rng.normal(size=2)), rng.uniform(0.5, 6.0), rng.uniform(0.0, 6.0))
+                  for _ in range(3)] for _ in range(3)]
+        target = pg.trig_function(graph_inc, terms)
+        m, resolution = len(basis_inc_d.modes), 2001
+        monkeypatch.setattr(dynamics, "_SLICE", m * resolution)
+        whole = pg.project(target, basis_inc_d, resolution)
+        # every bond now spans ceil(2001 / points) slices
+        monkeypatch.setattr(dynamics, "_SLICE", m * points)
+        sliced = pg.project(target, basis_inc_d, resolution)
+        assert np.max(np.abs(sliced.state.coeffs - whole.state.coeffs)) < 1e-13
+        assert sliced.residual == pytest.approx(whole.residual, rel=0.0, abs=1e-13)
+        assert sliced.gram_cond == pytest.approx(whole.gram_cond, rel=1e-13)
+
+    def test_non_integer_resolution_is_typed(self, basis123_d):
+        with pytest.raises(pg.EvenPointCount):
+            pg.project(basis123_d.modes[0], basis123_d, 2001.0)
+
     @pytest.mark.parametrize("name", ["basis123_d", "basis123_n", "basis123_k", "basis_inc_d"])
     def test_gram_cond_matches_numpy_cond(self, name, request):
         basis = request.getfixturevalue(name)
@@ -246,6 +266,15 @@ class TestCurrentSeries:
             pg.current_series(s, [0.0, 0.5, 0.4])
         with pytest.raises(pg.UnsortedGrid):
             pg.current_series(s, [0.0, 0.5, 0.5])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, basis_inc_d, bad):
+        s = pg.WaveState(basis=basis_inc_d, coeffs=np.ones(len(basis_inc_d.modes)))
+        for times in ([0.0, 0.5, bad, 2.0], [0.0, bad], [bad]):
+            with pytest.raises(pg.NonFiniteInput):
+                pg.current_series(s, times)
+        with pytest.raises(pg.NonFiniteInput):
+            pg.evolve(s, bad)
 
     def test_equal_five_mode_witness(self, basis123_d, basis123_n, basis123_k):
         grid = np.linspace(0.0, 1.0, 1000)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ptgraph as pg
+from ptgraph import graph
 
 
 class TestMakeStarGraph:
@@ -54,10 +55,59 @@ class TestBondGrid:
         assert grid.points[-1] == 2.0
         assert np.allclose(np.diff(grid.points), grid.spacing)
 
-    @pytest.mark.parametrize("count", [2, 4, 100, 1, 0])
+    @pytest.mark.parametrize("count", [2, 4, 100, 1, 0, 5.0, 4.5, "5", None])
     def test_bad_counts_rejected(self, graph123, count):
         with pytest.raises(pg.EvenPointCount):
             pg.bond_grid(graph123, 1, count)
+        with pytest.raises(pg.EvenPointCount):
+            pg.simpson_weights(count, 0.1)
+
+    def test_numpy_integer_counts_accepted(self, graph123):
+        for count in (np.int64(5), np.int32(5), np.uint16(5)):
+            assert np.array_equal(pg.bond_grid(graph123, 1, count).points, np.linspace(0.0, 1.0, 5))
+            assert pg.simpson_weights(count, 0.25).shape == (5,)
+
+
+def literal_simpson_weights(count, spacing):
+    w = np.full(count, 2.0)
+    w[1:-1:2] = 4.0
+    w[0] = w[-1] = 1.0
+    return w * (spacing / 3.0)
+
+
+class TestGridSlices:
+    # on bond 3, (L / (count - 1)) * (count - 1) != L at 2001 and 4001 points,
+    # so the joined points only match linspace if the endpoint is pinned to L
+    lengths = (1.0, 1.3, 0.999599)
+
+    def test_bond_3_needs_the_pinned_endpoint(self):
+        length = self.lengths[2]
+        assert all((length / (n - 1)) * (n - 1) != length for n in (2001, 4001))
+
+    @pytest.mark.parametrize("count", [3, 5, 2001, 4001])
+    @pytest.mark.parametrize("width", [1, 2, 7, None], ids=["1", "2", "7", "whole"])
+    @pytest.mark.parametrize("bond", [1, 2, 3])
+    def test_joined_slices_equal_grid_and_weights_bit_for_bit(self, count, width, bond):
+        g = pg.make_star_graph(self.lengths)
+        grid = pg.bond_grid(g, bond, count)
+        parts = list(graph._grid_slices(g, bond, count, 1, width))
+        assert len(parts) == (1 if width is None else -(-count // width))
+        assert all(x.size == w.size <= (width or count) for x, w in parts)
+        points = np.concatenate([x for x, _ in parts])
+        weights = np.concatenate([w for _, w in parts])
+        assert points.tobytes() == grid.points.tobytes()
+        assert weights.tobytes() == pg.simpson_weights(grid.count, grid.spacing).tobytes()
+        assert weights.tobytes() == literal_simpson_weights(grid.count, grid.spacing).tobytes()
+
+    def test_budget_bounds_each_block(self, graph123):
+        # at 7 rows a budget of 50 elements leaves 7 points per slice
+        sizes = [x.size for x, _ in graph._grid_slices(graph123, 3, 41, 7, 50)]
+        assert sizes == [7] * 5 + [6]
+
+    def test_slices_cover_the_range_once(self):
+        for n, width, budget in ((0, 3, 10), (1, 3, 10), (10, 3, 2), (10, 0, 4), (9, 2, None)):
+            covered = [i for s in graph._slices(n, width, budget) for i in range(n)[s]]
+            assert covered == list(range(n))
 
 
 class TestQuadrature:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -349,3 +350,12 @@ class TestProfiles:
     def test_empty_basis(self, graph123):
         basis = pg.build_basis(graph123, pg.PT_DIRICHLET, 1.5)
         assert basis.profiles(1, np.linspace(0.0, 1.0, 5)).shape == (0, 5)
+
+    def test_replaced_basis_reads_its_own_modes(self, basis_inc_d):
+        # cpt_inner truncates a basis with dataclasses.replace
+        head = dataclasses.replace(basis_inc_d, modes=basis_inc_d.modes[:4])
+        xs = np.linspace(0.0, 1.7, 9)
+        for order in (0, 1, 2):
+            assert head.profiles(3, xs, order).tobytes() == basis_inc_d.profiles(3, xs, order)[:4].tobytes()
+        with pytest.raises(pg.OutOfDomain):
+            head.profiles(4, xs)
