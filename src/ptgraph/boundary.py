@@ -160,10 +160,12 @@ def combine(functions: Sequence[BondFunction], coeffs) -> BondFunction:
 
 def _sample(f: BondFunction, bond: int, pts: np.ndarray, order: int = 0) -> np.ndarray:
     """Evaluate f (order 0) or a derivative on a grid of bond `bond`; the
-    evaluator must return one value per point."""
+    evaluator must return one finite value per point, else EvaluationFailure."""
     out = np.asarray(f.evaluate(bond, pts, order), dtype=complex)
     if out.shape != pts.shape:
         raise EvaluationFailure(f"callable returned shape {out.shape} for grid of {pts.shape}")
+    if not np.isfinite(out).all():
+        raise EvaluationFailure(f"non-finite sample on bond {bond}")
     return out
 
 
@@ -340,7 +342,7 @@ def check_ranks(bc: BCMatrices) -> RankReport:
 
 def _check_same_graph(f, g) -> MetricStarGraph:
     if f.graph != g.graph:
-        raise GraphMismatch("functions live on different graphs")
+        raise GraphMismatch("arguments live on different graphs")
     return f.graph
 
 
@@ -393,8 +395,7 @@ def cpt_inner(
     with its mirror L - x: one (truncation x points) matrix is held per bond.
     """
     graph = _check_same_graph(f, g)
-    if basis.graph != graph:
-        raise GraphMismatch("basis lives on a different graph")
+    _check_same_graph(f, basis)
     if not isinstance(truncation, (int, np.integer)) or truncation < 1:
         raise InsufficientBasis(f"truncation must be an integer >= 1, got {truncation!r}")
     if len(basis.modes) < truncation:

@@ -183,7 +183,7 @@ def _config_comments(args) -> list[str]:
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     a = cfg.args
-    roots = find_roots(cfg.graph, 0.0, a.kmax, tol=a.tol, family=cfg.family)
+    roots = find_roots(cfg.graph, a.tol, a.kmax, cfg.family)
     lines = _config_comments(a)
     lines.append("n,k,degenerate")
     ks = _column([r.k for r in roots], a.precision)
@@ -197,7 +197,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 def cmd_modes(cfg: RunConfig) -> int:
     a = cfg.args
-    basis = build_basis(cfg.graph, cfg.family, a.kmax, tol=a.tol, resolution=a.resolution)
+    basis = build_basis(cfg.graph, cfg.family, a.kmax, k_min=a.tol, resolution=a.resolution)
     lines = _config_comments(a)
     for n, mode in enumerate(basis.modes, start=1):
         lines.append(f"# norm_check,{n},{_fmt(mode.norm_check, a.precision)}")
@@ -255,7 +255,7 @@ def _parse_coeffs(raw: str, n_modes: int) -> np.ndarray:
 
 def cmd_evolve(cfg: RunConfig) -> int:
     a = cfg.args
-    basis = build_basis(cfg.graph, cfg.family, a.kmax, tol=a.tol, resolution=a.resolution)
+    basis = build_basis(cfg.graph, cfg.family, a.kmax, k_min=a.tol, resolution=a.resolution)
     coeffs = _parse_coeffs(a.coeffs, len(basis.modes))
     state = WaveState(basis=basis, coeffs=coeffs, t=0.0)
     series = current_series(state, np.linspace(0.0, a.tmax, a.tsteps))
@@ -341,7 +341,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.family == CUSTOM:
         report.append("[INFO] spectral checks need a built-in family; skipped for custom matrices")
     else:
-        basis = build_basis(graph, cfg.family, a.kmax, tol=a.tol, resolution=a.resolution)
+        basis = build_basis(graph, cfg.family, a.kmax, k_min=a.tol, resolution=a.resolution)
         modes = basis.modes[:VERIFY_MODE_COUNT]
         report.append(
             f"modes_used : {len(modes)} of {len(basis.modes)} regular "
@@ -415,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--family", default=PT_DIRICHLET,
                         help="pt-dirichlet | pt-neumann | kirchhoff-ref | custom:<path>")
         sp.add_argument("--kmax", type=float, default=DEFAULT_KMAX, help="upper end of the root window")
-        sp.add_argument("--tol", type=float, default=DEFAULT_ROOT_TOL, help="lower cut-off of the root window, excludes k = 0")
+        sp.add_argument("--tol", type=float, default=DEFAULT_ROOT_TOL, help="lower end k_min of the root window, excludes k = 0")
         sp.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION,
                         help="points per bond for sampling and quadrature (odd); "
                         "mode norm checks use at least the k-sized grid")

@@ -17,11 +17,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boundary import BondFunction, _bond_samples, _real_matvec, _sample, _weighted_sum
+from .boundary import (
+    BondFunction, _bond_samples, _check_same_graph, _real_matvec, _sample, _weighted_sum
+)
 from .errors import (
     DimensionMismatch,
     EmptyBasis,
-    GraphMismatch,
     NonFiniteInput,
     SingularGram,
     UnsortedGrid,
@@ -39,7 +40,8 @@ _SLICE = 65536
 
 @dataclass(frozen=True, eq=False)
 class WaveState(BondFunction):
-    """Expansion coefficients over a spectral basis at one instant; compared by identity."""
+    """Expansion coefficients over a spectral basis at one instant; compared by identity.
+    A non-finite coefficient or time t raises NonFiniteInput."""
 
     basis: SpectralBasis
     coeffs: np.ndarray = field(repr=False)
@@ -51,6 +53,8 @@ class WaveState(BondFunction):
             raise DimensionMismatch(
                 f"need one coefficient per mode ({len(self.basis.modes)}), got shape {c.shape}"
             )
+        if not (np.isfinite(c).all() and np.isfinite(self.t)):
+            raise NonFiniteInput(f"non-finite coefficient or time (t = {self.t!r})")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -105,8 +109,7 @@ def project(
     """
     if not basis.modes:
         raise EmptyBasis("cannot project onto a basis with no modes")
-    if initial.graph != basis.graph:
-        raise GraphMismatch("initial state lives on a different graph")
+    _check_same_graph(initial, basis)
     gram, rhs = 0.0, 0j
     for bond, x, w, phi in _bond_samples(basis, resolution, _SLICE):
         phi *= np.sqrt(w)  # in place: phi @ phi.T is then this slice's Gram block
@@ -126,11 +129,8 @@ def project(
 
 
 def evolve(state: WaveState, t: float) -> WaveState:
-    """Same coefficients at a new time; phases are applied on evaluation."""
-    t = float(t)
-    if not np.isfinite(t):
-        raise NonFiniteInput(f"time is not finite: {t!r}")
-    return dataclasses.replace(state, t=t)
+    """Same coefficients at a new time, which WaveState checks; phases apply on evaluation."""
+    return dataclasses.replace(state, t=float(t))
 
 
 def bond_current(state: WaveState, bond: int, x: float) -> float:

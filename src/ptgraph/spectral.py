@@ -39,7 +39,7 @@ from .errors import (
 )
 from .graph import DEFAULT_RESOLUTION, MetricStarGraph, _check_point_count, _slices
 
-#: default lower cut-off of the root window (excludes k = 0)
+#: where the root window starts when k_min is 0 (excludes k = 0)
 DEFAULT_ROOT_TOL = 1e-12
 #: basis wavenumbers must be further apart than this
 MODE_SEPARATION_TOL = 1e-9
@@ -225,13 +225,14 @@ def find_roots(
     graph: MetricStarGraph,
     k_min: float,
     k_max: float,
-    tol: float = DEFAULT_ROOT_TOL,
     family: str = PT_DIRICHLET,
 ) -> list[SecularRoot]:
     """Locate all real roots of the family's secular function on (k_min, k_max].
 
-    Only the real axis is searched: the off-axis complex-conjugate roots that
-    the PT families have on generic graphs are not reported.
+    The window needs finite 0 <= k_min < k_max, else InvalidWindow. A k_min of
+    0 starts it at DEFAULT_ROOT_TOL, which excludes k = 0; a positive k_min is
+    used as given. Only the real axis is searched: the off-axis conjugate
+    pairs of roots that the PT families have on generic graphs are not reported.
 
     Works on the pole lattice, the merged sine zeros n pi / L_j. A zero that
     two or more bonds share is a root and is returned once, at the pole.
@@ -247,8 +248,7 @@ def find_roots(
       working memory of the test does not grow with pieces x bonds.
 
     A sign change brackets that root, and all brackets are bisected together
-    to the floating-point floor, so `tol` only sets the lower cut-off
-    max(k_min, tol) that excludes k = 0. A root is flagged degenerate when
+    to the floating-point floor. A root is flagged degenerate when
     some |sin(k L_j)| < DEGENERATE_SINE_TOL. Roots that cannot be separated
     in floating point raise EvaluationFailure naming a k near them: a root of
     even order off the lattice (k = pi on lengths (1.5, 0.5)), or a band
@@ -256,11 +256,9 @@ def find_roots(
     """
     if not (math.isfinite(k_min) and math.isfinite(k_max)) or k_min < 0 or k_min >= k_max:
         raise InvalidWindow(f"need 0 <= k_min < k_max, got [{k_min}, {k_max}]")
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise InvalidWindow(f"tol must be a positive number, got {tol}")
     sec_fn = _secular_for_family(family)
     sec = lambda k: sec_fn(k, graph)
-    lo = max(k_min, tol)
+    lo = k_min or DEFAULT_ROOT_TOL
     if lo >= k_max:
         return []
     lengths = np.asarray(graph.lengths, dtype=float)
@@ -440,12 +438,12 @@ def build_basis(
     graph: MetricStarGraph,
     family: str,
     k_max: float,
-    tol: float = DEFAULT_ROOT_TOL,
+    k_min: float = 0.0,
     resolution: int | None = None,
 ) -> SpectralBasis:
-    """Find all real roots on (0, k_max] and build eigenmodes at the regular
-    ones; `resolution` is passed to the norm check of `eigenmode`."""
-    roots = find_roots(graph, 0.0, k_max, tol, family=family)
+    """Build eigenmodes at the regular roots that find_roots gives on (k_min, k_max];
+    `resolution` is passed to the norm check of `eigenmode`."""
+    roots = find_roots(graph, k_min, k_max, family)
     modes = tuple(
         eigenmode(r.k, family, graph, resolution) for r in roots if not r.degenerate
     )

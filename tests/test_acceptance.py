@@ -32,7 +32,7 @@ def equal_state(basis, n_modes=5):
 
 def test_criterion_01_secular_roots(graph123):
     start = time.perf_counter()
-    roots = pg.find_roots(graph123, 0.0, 20.0, tol=1e-12)
+    roots = pg.find_roots(graph123, 0.0, 20.0)
     elapsed = time.perf_counter() - start
     sign_roots, even_roots = dense_scan_roots(graph123.lengths, 20.0)
     oracle_count = len(sign_roots) + len(even_roots)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ptgraph as pg
-from util import GOLDEN_ABSYM_PT, fd_second_derivative, random_trig
+from util import GOLDEN_ABSYM_PT, fd_second_derivative, graph_kernel_cpt, random_trig
 
 
 def rebuilt(f):
@@ -497,6 +497,74 @@ class TestCPTInner:
         f = basis_inc_d.modes[0]
         with pytest.raises(pg.EvenPointCount):
             pg.cpt_inner(f, f, basis_inc_d, truncation=3, resolution=2001.0)
+
+
+class TestNonFiniteSamples:
+    FORMS = {
+        "l2_inner": lambda f, g, basis: pg.l2_inner(f, g),
+        "pt_inner": lambda f, g, basis: pg.pt_inner(f, g),
+        "cpt_inner": lambda f, g, basis: pg.cpt_inner(f, g, basis, truncation=5),
+        "omega_direct": lambda f, g, basis: pg.omega_direct(f, g),
+        "omega_direct_pt": lambda f, g, basis: pg.omega_direct(f, g, pg.PT),
+    }
+
+    @pytest.fixture
+    def nan_on_bond_3(self, graph_inc):
+        terms = [[(1.0, 2.0, 0.3)], [(0.5, 1.0, 0.0)], [(math.nan, 1.0, 0.0)]]
+        return pg.trig_function(graph_inc, terms)
+
+    @pytest.mark.parametrize("name", sorted(FORMS))
+    def test_nan_amplitude_raises_in_every_form(self, name, nan_on_bond_3, basis_inc_d, graph_inc):
+        good = pg.trig_function(graph_inc, [[(1.0, 2.0, 0.3)]] * 3)
+        for f, g in ((nan_on_bond_3, good), (good, nan_on_bond_3)):
+            with pytest.raises(pg.EvaluationFailure):
+                self.FORMS[name](f, g, basis_inc_d)
+
+    def test_nan_amplitude_raises_in_project(self, nan_on_bond_3, basis_inc_d):
+        with pytest.raises(pg.EvaluationFailure):
+            pg.project(nan_on_bond_3, basis_inc_d)
+
+
+class TestGraphKernelCPT:
+    """The graph-kernel CPT product of tests/util.py on (1, 1.3, 1.7) with every
+    mode below k = 40 at 4001 points: positive on the span of the PT modes, zero
+    on the L2 complement of that span, and negative on a plain trig function
+    outside it. So for the built-in families the form is indefinite on L2."""
+
+    @pytest.fixture(scope="class", params=[pg.PT_DIRICHLET, pg.PT_NEUMANN])
+    def setup(self, request, graph_inc):
+        basis = pg.build_basis(graph_inc, request.param, 40.0)
+        assert len(basis) == 25
+        return basis, graph_kernel_cpt(basis, 4001)
+
+    @pytest.fixture(scope="class")
+    def target(self, graph_inc):
+        """sin(pi x / L_j) + 0.3 sin(2 pi x / L_j) on every bond."""
+        terms = [[(1.0, math.pi / l, 0.0), (0.3, 2 * math.pi / l, 0.0)] for l in graph_inc.lengths]
+        return pg.trig_function(graph_inc, terms)
+
+    def test_positive_on_random_states_in_the_span(self, setup):
+        basis, form = setup
+        rng = np.random.default_rng(20)
+        for _ in range(25):
+            c = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+            s = pg.WaveState(basis, c)
+            value = form(s, s)
+            assert value.real > 1.0 and abs(value.imag) < 1e-9 * abs(value)
+
+    def test_vanishes_on_the_residual_of_the_projection(self, setup, target):
+        basis, form = setup
+        residual = pg.combine([target, pg.project(target, basis, 4001).state], [1.0, -1.0])
+        assert abs(form(residual, residual)) < 1e-12
+
+    def test_negative_on_a_trig_function_where_cpt_inner_is_positive(self, setup, target):
+        basis, form = setup
+        want = {pg.PT_DIRICHLET: (-0.17417, 1.39015), pg.PT_NEUMANN: (-0.28294, 0.17028)}
+        graph_value = form(target, target)
+        package_value = pg.cpt_inner(target, target, basis, len(basis), 4001)
+        assert graph_value.real < 0.0 < package_value.real
+        for got, value in zip((graph_value, package_value), want[basis.family]):
+            assert abs(got - value) < 1e-5
 
 
 class TestBondFunction:

@@ -388,6 +388,16 @@ class TestWaveStateValidation:
         with pytest.raises(pg.DimensionMismatch):
             pg.WaveState(basis=basis123_d, coeffs=np.ones(2, dtype=complex))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_or_coefficient_rejected(self, basis123_d, bad):
+        coeffs = np.ones(len(basis123_d), dtype=complex)
+        with pytest.raises(pg.NonFiniteInput):
+            pg.WaveState(basis123_d, coeffs, t=bad)
+        for entry in (bad, complex(0.0, bad)):
+            coeffs[2] = entry
+            with pytest.raises(pg.NonFiniteInput):
+                pg.WaveState(basis123_d, coeffs)
+
     def test_states_compare_and_hash_by_identity(self, basis123_d):
         coeffs = np.exp(0.7j * np.arange(len(basis123_d)))
         s, twin = pg.WaveState(basis123_d, coeffs), pg.WaveState(basis123_d, coeffs.copy())

@@ -104,7 +104,7 @@ class TestSecular:
 class TestFindRoots:
     def test_golden_window(self, graph123):
         start = time.perf_counter()
-        roots = pg.find_roots(graph123, 0.0, 20.0, tol=1e-12)
+        roots = pg.find_roots(graph123, 0.0, 20.0)
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0
         assert len(roots) == GOLDEN_ROOT_COUNT_123
@@ -117,7 +117,7 @@ class TestFindRoots:
         assert np.allclose(degenerate, [n * math.pi for n in range(1, 7)], atol=1e-7)
 
     def test_first_window_has_single_root(self, graph123):
-        roots = pg.find_roots(graph123, 0.0, 2.0, tol=1e-12)
+        roots = pg.find_roots(graph123, 0.0, 2.0)
         assert len(roots) == 1
         assert abs(roots[0].k - GOLDEN_K1) < 1e-9
 
@@ -146,8 +146,17 @@ class TestFindRoots:
             pg.find_roots(graph123, 5.0, 1.0)
         with pytest.raises(pg.InvalidWindow):
             pg.find_roots(graph123, -1.0, 5.0)
-        with pytest.raises(pg.InvalidWindow):
-            pg.find_roots(graph123, 0.0, 5.0, tol=-1e-9)
+        bad = ((5.0, 5.0), (0.0, 0.0), (-1e-300, 5.0), (math.nan, 5.0), (0.0, math.inf))
+        for k_min, k_max in bad:
+            with pytest.raises(pg.InvalidWindow):
+                pg.find_roots(graph123, k_min, k_max)
+
+    @pytest.mark.parametrize("family", [pg.PT_DIRICHLET, pg.KIRCHHOFF_REF])
+    def test_zero_k_min_starts_the_window_at_the_default_cut_off(self, graph123, family):
+        got = pg.find_roots(graph123, 0.0, 20.0, family)
+        want = pg.find_roots(graph123, spectral.DEFAULT_ROOT_TOL, 20.0, family)
+        assert len(got) > 5
+        assert [(r.k, r.degenerate) for r in got] == [(r.k, r.degenerate) for r in want]
 
     def test_kirchhoff_family_roots(self, graph123):
         roots = pg.find_roots(graph123, 0.0, 6.0, family=pg.KIRCHHOFF_REF)
@@ -294,6 +303,14 @@ class TestBuildBasis:
         ks_n = [m.k for m in basis123_n.modes]
         assert len(ks_d) == len(ks_n)
         assert max(abs(a - b) for a, b in zip(ks_d, ks_n)) < 1e-10
+
+    def test_k_min_keeps_only_the_roots_above_it(self, graph123, basis123_d):
+        upper = pg.build_basis(graph123, pg.PT_DIRICHLET, 20.0, k_min=2.0)
+        assert 0 < len(upper) < len(basis123_d)
+        assert [m.k for m in upper.modes] == [m.k for m in basis123_d.modes if m.k > 2.0]
+        assert upper.degenerate_roots == tuple(
+            r for r in basis123_d.degenerate_roots if r.k > 2.0
+        )
 
     def test_window_below_first_root(self, graph123):
         basis = pg.build_basis(graph123, pg.PT_DIRICHLET, 1.5)

@@ -158,3 +158,35 @@ def dense_scan_roots(lengths, k_max, step=1e-6, zero_tol=1e-12, chunk=4_000_000,
         if not any(abs(center - s) < 10 * step for s in sign_roots):
             even_roots.append(center)
     return sorted(sign_roots), sorted(even_roots)
+
+
+def graph_kernel_cpt(basis, resolution):
+    """The CPT product of Bender, Brody and Jones (PRL 89 (2002) 270401) with the
+    graph kernel C(x, y) = sum_n phi_n(x) phi_n(y) / (phi_n, phi_n)_PT.
+
+    Returns form(f, g) = sum_n a_n b_n / p_n, where a_n = sum_j int phi_n(x)
+    conj(f_j(L_j - x)) dx, b_n = sum_j int phi_n(x) g_j(x) dx and p_n = sum_j
+    int phi_n(x) phi_n(L_j - x) dx. Each sum runs over all bonds, so the kernel
+    couples them; cpt_inner instead pairs a and b bond by bond. The modes are
+    sampled once, by their own evaluators, on plain Simpson grids; x -> L_j - x
+    maps such a grid onto its reverse.
+    """
+    bonds = []
+    for j, lj in enumerate(basis.graph.lengths, start=1):
+        x = np.linspace(0.0, lj, resolution)
+        w = np.full(resolution, 2.0)
+        w[1::2] = 4.0
+        w[[0, -1]] = 1.0
+        w *= lj / (resolution - 1) / 3.0
+        bonds.append((j, x, w, np.array([m.value(j, x) for m in basis.modes])))
+    p = sum((phi * phi[:, ::-1]) @ w for _, _, w, phi in bonds)
+
+    def form(f, g):
+        a = b = 0.0
+        for j, x, w, phi in bonds:
+            fv = f.value(j, x)
+            a = a + phi @ (w * np.conj(fv[::-1]))
+            b = b + phi @ (w * (fv if g is f else g.value(j, x)))
+        return complex(np.sum(a * b / p))
+
+    return form
