@@ -30,6 +30,7 @@ from .boundary import (
     combine,
     cpt_inner,
     l2_inner,
+    load_bc_matrices,
     omega_direct,
     omega_hermitian,
     omega_pt,
@@ -86,8 +87,6 @@ from .spectral import (
     SpectralBasis,
     build_basis,
     eigenmode,
-    evaluate_mode,
-    evaluate_mode_deriv,
     find_roots,
     secular,
     secular_kirchhoff,

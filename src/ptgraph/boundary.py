@@ -10,16 +10,18 @@ i.e. values at the vertex first, then at the outer ends; derivatives at the
 outer ends (negated) first, then at the vertex. A boundary-condition pair
 (A, B) constrains a function through A psi + B dpsi = 0 in this layout.
 
-Three built-in condition families are provided. Two are the PT-consistent
-sets (value continuity at the vertex with a derivative sum over the outer
-ends, and its derivative/value mirror image); the third is the standard
-self-adjoint vertex coupling kept as a Hermitian reference.
+Three built-in condition families are provided: two PT-consistent sets
+(value continuity at the vertex with a derivative sum over the outer ends,
+and its derivative/value mirror image) and the standard self-adjoint vertex
+coupling as a Hermitian reference. Each is one row of the table _FAMILIES,
+which bc_matrices and the spectral module read; load_bc_matrices reads any
+other pair from a text file.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,8 +41,6 @@ PT_DIRICHLET = "pt-dirichlet"
 PT_NEUMANN = "pt-neumann"
 KIRCHHOFF_REF = "kirchhoff-ref"
 CUSTOM = "custom"
-
-BUILTIN_FAMILIES = (PT_DIRICHLET, PT_NEUMANN, KIRCHHOFF_REF)
 
 # inner-product tags for omega_direct
 HERMITIAN = "hermitian"
@@ -244,45 +244,94 @@ class BCMatrices:
             raise NonFiniteInput("A and B must have finite entries")
 
 
+#: the matrix a family row fills: A acts on psi, B on dpsi
+_A, _B = 0, 1
+
+
+class _Family(NamedTuple):
+    """One built-in family: its rows of (A, B) and whether it is the Hermitian
+    reference, whose secular function is secular_kirchhoff (the PT families
+    share secular). A row entry names a matrix (_A or _B) and a slot block
+    (0: slots 1..N, 1: slots N+1..2N); rows 1..N-1 (`matching`) hold +1 at
+    slot j and -1 at slot j+1 of the block, row N (`summed`) a coefficient at
+    every slot, and rows N+1..2N (`outer`) a coefficient at slot j."""
+
+    tag: str
+    matching: tuple
+    summed: tuple
+    outer: tuple
+    self_adjoint: bool = False
+
+    @property
+    def sin_profile(self) -> bool:
+        """f_j(L_j) = 0 at the outer ends gives sin(k (L_j - x)), f_j'(L_j) = 0 the cosine."""
+        return self.outer[0] == _A
+
+
+_FAMILIES = {fam.tag: fam for fam in (
+    # f_1(0) = ... = f_N(0); sum_j f_j'(L_j) = 0 (dpsi holds -f_j'(L_j)); f_j(L_j) = 0
+    _Family(PT_DIRICHLET, matching=(_A, 0), summed=(_B, 0, -1.0), outer=(_A, 1, 1.0)),
+    # f_1'(0) = ... = f_N'(0); sum_j f_j(L_j) = 0; f_j'(L_j) = 0
+    _Family(PT_NEUMANN, matching=(_B, 1), summed=(_A, 1, 1.0), outer=(_B, 0, -1.0)),
+    # f_1(0) = ... = f_N(0); sum_j f_j'(0) = 0; f_j(L_j) = 0
+    _Family(KIRCHHOFF_REF, matching=(_A, 0), summed=(_B, 1, 1.0), outer=(_A, 1, 1.0),
+            self_adjoint=True),
+)}
+
+BUILTIN_FAMILIES = tuple(_FAMILIES)
+
+
+def _family(tag: str) -> _Family:
+    """The table row of a built-in family; any other tag raises UnknownFamily."""
+    if tag not in _FAMILIES:
+        raise UnknownFamily(f"no built-in condition family named {tag!r}")
+    return _FAMILIES[tag]
+
+
 def bc_matrices(family: str, graph: MetricStarGraph) -> BCMatrices:
-    """Build the matrix pair for one of the built-in condition families.
+    """Build the matrix pair of a built-in condition family from its table row.
 
     Row layout (2N rows):
       rows 1..N-1   vertex matching (values or derivatives equal across bonds)
       row  N        the single summed condition
       rows N+1..2N  one outer-end condition per bond
     """
+    fam = _family(family)
     n = graph.n_bonds
-    m = 2 * n
-    a = np.zeros((m, m), dtype=complex)
-    b = np.zeros((m, m), dtype=complex)
-    if family == PT_DIRICHLET:
-        # f_1(0) = ... = f_N(0); sum_j f_j'(L_j) = 0; f_j(L_j) = 0
-        for r in range(n - 1):
-            a[r, r] = 1.0
-            a[r, r + 1] = -1.0
-        b[n - 1, 0:n] = -1.0  # dpsi slots hold -f_j'(L_j)
-        for j in range(n):
-            a[n + j, n + j] = 1.0
-    elif family == PT_NEUMANN:
-        # f_1'(0) = ... = f_N'(0); sum_j f_j(L_j) = 0; f_j'(L_j) = 0
-        for r in range(n - 1):
-            b[r, n + r] = 1.0
-            b[r, n + r + 1] = -1.0
-        a[n - 1, n : 2 * n] = 1.0
-        for j in range(n):
-            b[n + j, j] = -1.0
-    elif family == KIRCHHOFF_REF:
-        # f_1(0) = ... = f_N(0); sum_j f_j'(0) = 0; f_j(L_j) = 0
-        for r in range(n - 1):
-            a[r, r] = 1.0
-            a[r, r + 1] = -1.0
-        b[n - 1, n : 2 * n] = 1.0
-        for j in range(n):
-            a[n + j, n + j] = 1.0
-    else:
-        raise UnknownFamily(f"no built-in condition family named {family!r}")
-    return BCMatrices(a=a, b=b, family=family, n_bonds=n)
+    j = np.arange(n)
+    ab = np.zeros((2, 2 * n, 2 * n), dtype=complex)
+    m, block = fam.matching
+    ab[m, j[:-1], block * n + j[:-1]] = 1.0
+    ab[m, j[:-1], block * n + j[1:]] = -1.0
+    m, block, c = fam.summed
+    ab[m, n - 1, block * n + j] = c
+    m, block, c = fam.outer
+    ab[m, n + j, block * n + j] = c
+    return BCMatrices(a=ab[_A], b=ab[_B], family=family, n_bonds=n)
+
+
+def load_bc_matrices(path, n_bonds: int) -> BCMatrices:
+    """Read a custom pair from a text file: 2N rows of 4N whitespace-separated
+    complex entries ('re' or 're+imj'), the A block first, then the B block;
+    blank lines and lines starting with '#' are skipped. An unreadable file
+    raises UnknownFamily, a row without 4N entries or a row count other than
+    2N DimensionMismatch, and an entry that is not a finite number NonFiniteInput."""
+    try:
+        with open(path) as fh:
+            rows = [line.split() for line in fh if line.strip() and not line.startswith("#")]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UnknownFamily(f"cannot be read ({exc})") from None
+    m = 2 * n_bonds
+    entries = []
+    for i, row in enumerate(rows, start=1):
+        if len(row) != 2 * m:
+            raise DimensionMismatch(f"row {i} must have {2 * m} entries, found {len(row)}")
+        try:
+            entries.append([complex(tok) for tok in row])
+        except ValueError as exc:
+            raise NonFiniteInput(f"row {i}: could not parse entry: {exc}") from None
+    full = np.array(entries, dtype=complex).reshape(len(rows), 2 * m)  # also with no rows
+    return BCMatrices(a=full[:, :m], b=full[:, m:], family=CUSTOM, n_bonds=n_bonds)
 
 
 def bc_residual(bc: BCMatrices, t: TraceVectors) -> float:

@@ -29,24 +29,24 @@ import numpy as np
 
 from . import __version__
 from .boundary import (
+    _FAMILIES,
     BUILTIN_FAMILIES,
     CUSTOM,
-    KIRCHHOFF_REF,
     PT_DIRICHLET,
     PT_NEUMANN,
-    BCMatrices,
     bc_matrices,
     bc_residual,
     check_ab_symmetry,
     check_ranks,
     l2_inner,
+    load_bc_matrices,
     omega_hermitian,
     omega_pt,
     omega_pt_symplectic,
     trace_vectors,
 )
 from .dynamics import WaveState, current_series
-from .errors import NonFiniteInput, PTGraphError
+from .errors import PTGraphError
 from .graph import DEFAULT_RESOLUTION, MetricStarGraph, make_star_graph
 from .spectral import DEFAULT_ROOT_TOL, build_basis, find_roots
 
@@ -270,34 +270,6 @@ def cmd_evolve(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_custom_matrices(path: str, n_bonds: int) -> BCMatrices:
-    """Plain-text (A|B) pair: 2N rows of 4N whitespace-separated complex
-    entries ('re' or 're+imj'), the A block first, then the B block."""
-    try:
-        with open(path) as fh:
-            rows = [line.split() for line in fh if line.strip() and not line.startswith("#")]
-    except OSError as exc:
-        raise UsageError("--family", f"cannot read custom matrix file: {exc}")
-    m = 2 * n_bonds
-    if len(rows) != m:
-        raise UsageError("--family", f"custom matrix file must have {m} rows, found {len(rows)}")
-    entries = []
-    for i, row in enumerate(rows, start=1):
-        if len(row) != 2 * m:
-            raise UsageError(
-                "--family", f"row {i} must have {2 * m} entries, found {len(row)}"
-            )
-        try:
-            entries.append([complex(tok) for tok in row])
-        except ValueError as exc:
-            raise UsageError("--family", f"row {i}: could not parse entry: {exc}")
-    full = np.array(entries, dtype=complex)
-    try:
-        return BCMatrices(a=full[:, :m], b=full[:, m:], family=CUSTOM, n_bonds=n_bonds)
-    except NonFiniteInput as exc:
-        raise UsageError("--family", f"custom matrix file: {exc}")
-
-
 def cmd_verify(cfg: RunConfig) -> int:
     a, graph = cfg.args, cfg.graph
     p = a.precision
@@ -314,11 +286,15 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     n2 = 2 * graph.n_bonds
 
-    bc = (
-        _load_custom_matrices(cfg.custom_path, graph.n_bonds)
-        if cfg.family == CUSTOM
-        else bc_matrices(cfg.family, graph)
-    )
+    if cfg.family == CUSTOM:
+        try:
+            bc = load_bc_matrices(cfg.custom_path, graph.n_bonds)
+        except PTGraphError as exc:
+            raise UsageError("--family", f"custom matrix file: {exc}")
+        self_adjoint = False
+    else:
+        bc = bc_matrices(cfg.family, graph)
+        self_adjoint = _FAMILIES[cfg.family].self_adjoint
     ranks = check_ranks(bc)
     report.append(f"rank_a  : {ranks.rank_a}")
     report.append(f"rank_b  : {ranks.rank_b}")
@@ -330,10 +306,9 @@ def cmd_verify(cfg: RunConfig) -> int:
             "condition is usually quoted with both equal to 2N; the stacked "
             "rank above is the nondegeneracy condition actually enforced."
         )
-    kirchhoff = cfg.family == KIRCHHOFF_REF
     measure("ab_symmetry_defect", check_ab_symmetry(bc),
-            VERIFY_AB_SYMMETRY_TOL if kirchhoff else None, "self-adjointness defect")
-    if not kirchhoff:
+            VERIFY_AB_SYMMETRY_TOL if self_adjoint else None, "self-adjointness defect")
+    if not self_adjoint:
         report.append(
             "[INFO] defect recorded only: non-self-adjoint families are nonzero here by design"
         )
@@ -359,7 +334,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             traces = [trace_vectors(f) for f in modes]
             res_max = max(bc_residual(bc, t) for t in traces)
             measure("bc_residual_max", res_max, VERIFY_BC_RESIDUAL_TOL, "bc residual")
-            if kirchhoff:
+            if self_adjoint:
                 om_max = max(abs(omega_hermitian(tf, tg)) for tf in traces for tg in traces)
                 measure("omega_hermitian_max", om_max, VERIFY_OMEGA_HERMITIAN_TOL,
                         "|omega_hermitian| over mode pairs")

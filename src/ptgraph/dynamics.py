@@ -24,11 +24,12 @@ from .errors import (
     DimensionMismatch,
     EmptyBasis,
     NonFiniteInput,
+    OutOfDomain,
     SingularGram,
     UnsortedGrid,
 )
 from .graph import DEFAULT_RESOLUTION, _slices
-from .spectral import SpectralBasis, _check_domain
+from .spectral import SpectralBasis
 
 #: projection refuses Gram systems beyond this condition number
 GRAM_COND_LIMIT = 1e12
@@ -134,8 +135,9 @@ def evolve(state: WaveState, t: float) -> WaveState:
 
 
 def bond_current(state: WaveState, bond: int, x: float) -> float:
-    """Probability current on one bond at position x and the state's time."""
-    _check_domain(state.basis.graph, bond, x)
+    """Probability current on one bond at position x in [0, L_bond] and the state's time."""
+    if not 0.0 <= x <= (lj := state.graph.length(bond)):
+        raise OutOfDomain(f"x = {x} outside [0, {lj}] on bond {bond}")
     psi = complex(state.value(bond, float(x)))
     dpsi = complex(state.deriv(bond, float(x)))
     return psi.real * dpsi.imag - psi.imag * dpsi.real

@@ -19,14 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .boundary import (
-    KIRCHHOFF_REF,
-    PT_DIRICHLET,
-    PT_NEUMANN,
-    BondFunction,
-    _check_order,
-    l2_inner,
-)
+from .boundary import PT_DIRICHLET, BondFunction, _check_order, _family, l2_inner
 from .errors import (
     DegenerateMode,
     DimensionMismatch,
@@ -34,8 +27,6 @@ from .errors import (
     InvalidWindow,
     NormalizationError,
     NotARoot,
-    OutOfDomain,
-    UnknownFamily,
 )
 from .graph import DEFAULT_RESOLUTION, MetricStarGraph, _check_point_count, _slices
 
@@ -55,8 +46,6 @@ NORM_CHECK_TOL = 1e-8
 NORM_CHECK_K_SPACING = 0.05
 #: most (pieces x bonds) elements the Rolle test of one level holds at once
 _ROLLE_SLICE = 4096
-
-_SIN_FAMILIES = (PT_DIRICHLET, KIRCHHOFF_REF)
 
 
 def _cofactor_sum(k, graph: MetricStarGraph, weighted: bool):
@@ -97,14 +86,6 @@ def secular_kirchhoff(k, graph: MetricStarGraph):
     sin(k L_i). Not shared with the PT families.
     """
     return _cofactor_sum(k, graph, weighted=True)
-
-
-def _secular_for_family(family: str):
-    if family in (PT_DIRICHLET, PT_NEUMANN):
-        return secular
-    if family == KIRCHHOFF_REF:
-        return secular_kirchhoff
-    raise UnknownFamily(f"no spectral problem for family {family!r}")
 
 
 @dataclass(frozen=True)
@@ -229,6 +210,10 @@ def find_roots(
 ) -> list[SecularRoot]:
     """Locate all real roots of the family's secular function on (k_min, k_max].
 
+    The family's row of the boundary table names it: secular_kirchhoff for
+    the self-adjoint kirchhoff-ref, secular for pt-dirichlet and pt-neumann;
+    any other tag, `custom` among them, raises UnknownFamily.
+
     The window needs finite 0 <= k_min < k_max, else InvalidWindow. A k_min of
     0 starts it at DEFAULT_ROOT_TOL, which excludes k = 0; a positive k_min is
     used as given. Only the real axis is searched: the off-axis conjugate
@@ -238,9 +223,10 @@ def find_roots(
     two or more bonds share is a root and is returned once, at the pole.
     Between neighbouring poles:
 
-    - Kirchhoff: sum_j cot(k L_j) falls from +inf to -inf, so each interval
-      holds exactly one root and S has the signs +/- sign(prod_j sin k L_j)
-      at its ends; only the window ends are evaluated.
+    - self-adjoint (Kirchhoff): sum_j cot(k L_j) falls from +inf to -inf, so
+      each interval holds exactly one root and S has the signs
+      +/- sign(prod_j sin k L_j) at its ends; only the window ends are
+      evaluated.
     - PT: sum_j csc(k L_j) has no root where all sines share a sign; the
       other intervals are halved until a Rolle bound on S'' leaves at most
       one root per piece. The pieces of one level are tested together, in
@@ -256,7 +242,8 @@ def find_roots(
     """
     if not (math.isfinite(k_min) and math.isfinite(k_max)) or k_min < 0 or k_min >= k_max:
         raise InvalidWindow(f"need 0 <= k_min < k_max, got [{k_min}, {k_max}]")
-    sec_fn = _secular_for_family(family)
+    fam = _family(family)
+    sec_fn = secular_kirchhoff if fam.self_adjoint else secular
     sec = lambda k: sec_fn(k, graph)
     lo = k_min or DEFAULT_ROOT_TOL
     if lo >= k_max:
@@ -265,7 +252,7 @@ def find_roots(
     nodes, mult, parity = _pole_lattice(lengths, lo, k_max)
     poles = nodes[mult >= 2]
     a, b = nodes[:-1], nodes[1:]
-    if family == KIRCHHOFF_REF:
+    if fam.self_adjoint:
         fa = 1.0 - 2.0 * (parity.sum(axis=1) % 2)  # sign of prod_j sin(k L_j)
         fb = -fa
         fa[0], f_hi = sec(nodes[[0, -1]])
@@ -305,9 +292,10 @@ def _profile(k, norm_const, sine, L, x, sin_profile: bool, order: int):
 class EigenMode(BondFunction):
     """One eigen-wavenumber with its closed-form bond profile.
 
-    The profile is norm_const * sin(k (L_j - x)) / sin(k L_j) for the
-    value-continuity families and the cosine analog for the derivative-
-    continuity family; norm_const makes the graph L2 norm exactly one.
+    The profile is norm_const * sin(k (L_j - x)) / sin(k L_j) for a family
+    whose outer ends hold f_j(L_j) = 0 (pt-dirichlet, kirchhoff-ref) and the
+    cosine analog for f_j'(L_j) = 0 (pt-neumann), as the family's row of the
+    boundary table says; norm_const makes the graph L2 norm exactly one.
     `norm_check` is the quadrature norm that eigenmode() checked this
     against (None for a mode built directly).
     """
@@ -323,7 +311,7 @@ class EigenMode(BondFunction):
         x-derivative (order 1 or 2, with f'' = -k^2 f)."""
         lj = self.graph.length(bond)
         s = math.sin(self.k * lj)
-        return _profile(self.k, self.norm_const, s, lj, x, self.family in _SIN_FAMILIES, order)
+        return _profile(self.k, self.norm_const, s, lj, x, _family(self.family).sin_profile, order)
 
 
 def eigenmode(
@@ -338,15 +326,17 @@ def eigenmode(
 
         [ sum_j (2 k L_j -/+ sin 2 k L_j) / (4 k sin^2 k L_j) ]^(-1/2)
 
-    (minus for the sine-profile families, plus for the cosine profile), and
-    is cross-checked against the quadrature L2 norm at `resolution` points
-    per bond (default DEFAULT_RESOLUTION); disagreement beyond NORM_CHECK_TOL
-    raises NormalizationError. The grid is raised where needed, never
-    lowered, so that k times its spacing stays at or below
-    NORM_CHECK_K_SPACING.
+    (minus for the sine profile of pt-dirichlet and kirchhoff-ref, plus for
+    the cosine profile of pt-neumann), and is cross-checked against the
+    quadrature L2 norm at `resolution` points per bond (default
+    DEFAULT_RESOLUTION); disagreement beyond NORM_CHECK_TOL raises
+    NormalizationError. The grid is raised where needed, never lowered, so
+    that k times its spacing stays at or below NORM_CHECK_K_SPACING. `k` must
+    be a root of the family's secular function, else NotARoot; a tag without
+    a row in the boundary table raises UnknownFamily.
     """
-    sec_fn = _secular_for_family(family)
-    resid = abs(float(sec_fn(k, graph)))
+    fam = _family(family)
+    resid = abs(float((secular_kirchhoff if fam.self_adjoint else secular)(k, graph)))
     if resid >= MODE_ROOT_TOL:
         raise NotARoot(f"|secular({k})| = {resid:g} >= {MODE_ROOT_TOL:g}")
     sines = [math.sin(k * l) for l in graph.lengths]
@@ -354,7 +344,7 @@ def eigenmode(
         raise DegenerateMode(
             f"sin(k L_j) vanishes at k = {k:.12g}; closed-form profile undefined"
         )
-    sign = -1.0 if family in _SIN_FAMILIES else 1.0
+    sign = -1.0 if fam.sin_profile else 1.0
     total = sum(
         (2.0 * k * l + sign * math.sin(2.0 * k * l)) / (4.0 * k * s * s)
         for l, s in zip(graph.lengths, sines)
@@ -372,24 +362,6 @@ def eigenmode(
             f"(resolution {resolution}, k = {k:g})"
         )
     return replace(mode, norm_check=n2.real)
-
-
-def evaluate_mode(mode: EigenMode, bond: int, x: float) -> complex:
-    """Closed-form mode value at a point of bond `bond` (1-based)."""
-    _check_domain(mode.graph, bond, x)
-    return complex(mode.value(bond, float(x)))
-
-
-def evaluate_mode_deriv(mode: EigenMode, bond: int, x: float) -> complex:
-    """Closed-form x-derivative of the mode (no numerical differencing)."""
-    _check_domain(mode.graph, bond, x)
-    return complex(mode.deriv(bond, float(x)))
-
-
-def _check_domain(graph: MetricStarGraph, bond: int, x: float):
-    lj = graph.length(bond)
-    if not 0.0 <= x <= lj:
-        raise OutOfDomain(f"x = {x} outside [0, {lj}] on bond {bond}")
 
 
 @dataclass(frozen=True)
@@ -431,7 +403,7 @@ class SpectralBasis:
         column = (-1,) + (1,) * x.ndim
         rows = (self._ks, self._norms, self._sines[bond - 1])
         k, norm, sines = (a.reshape(column) for a in rows)
-        return _profile(k, norm, sines, lj, x, self.family in _SIN_FAMILIES, order)
+        return _profile(k, norm, sines, lj, x, _family(self.family).sin_profile, order)
 
 
 def build_basis(

@@ -1,5 +1,6 @@
 import math
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +113,53 @@ class TestTraceVectors:
             pg.TraceVectors(pg.make_star_graph([1.0, 2.0]), t.ends)
 
 
+#: (A | B) of bc_matrices, entry for entry, at N = 2 and N = 4
+BC_TABLE = {
+    (pg.PT_DIRICHLET, 2): """
+         1 -1  0  0 |  0  0  0  0
+         0  0  0  0 | -1 -1  0  0
+         0  0  1  0 |  0  0  0  0
+         0  0  0  1 |  0  0  0  0""",
+    (pg.PT_DIRICHLET, 4): """
+         1 -1  0  0  0  0  0  0 |  0  0  0  0  0  0  0  0
+         0  1 -1  0  0  0  0  0 |  0  0  0  0  0  0  0  0
+         0  0  1 -1  0  0  0  0 |  0  0  0  0  0  0  0  0
+         0  0  0  0  0  0  0  0 | -1 -1 -1 -1  0  0  0  0
+         0  0  0  0  1  0  0  0 |  0  0  0  0  0  0  0  0
+         0  0  0  0  0  1  0  0 |  0  0  0  0  0  0  0  0
+         0  0  0  0  0  0  1  0 |  0  0  0  0  0  0  0  0
+         0  0  0  0  0  0  0  1 |  0  0  0  0  0  0  0  0""",
+    (pg.PT_NEUMANN, 2): """
+         0  0  0  0 |  0  0  1 -1
+         0  0  1  1 |  0  0  0  0
+         0  0  0  0 | -1  0  0  0
+         0  0  0  0 |  0 -1  0  0""",
+    (pg.PT_NEUMANN, 4): """
+         0  0  0  0  0  0  0  0 |  0  0  0  0  1 -1  0  0
+         0  0  0  0  0  0  0  0 |  0  0  0  0  0  1 -1  0
+         0  0  0  0  0  0  0  0 |  0  0  0  0  0  0  1 -1
+         0  0  0  0  1  1  1  1 |  0  0  0  0  0  0  0  0
+         0  0  0  0  0  0  0  0 | -1  0  0  0  0  0  0  0
+         0  0  0  0  0  0  0  0 |  0 -1  0  0  0  0  0  0
+         0  0  0  0  0  0  0  0 |  0  0 -1  0  0  0  0  0
+         0  0  0  0  0  0  0  0 |  0  0  0 -1  0  0  0  0""",
+    (pg.KIRCHHOFF_REF, 2): """
+         1 -1  0  0 |  0  0  0  0
+         0  0  0  0 |  0  0  1  1
+         0  0  1  0 |  0  0  0  0
+         0  0  0  1 |  0  0  0  0""",
+    (pg.KIRCHHOFF_REF, 4): """
+         1 -1  0  0  0  0  0  0 |  0  0  0  0  0  0  0  0
+         0  1 -1  0  0  0  0  0 |  0  0  0  0  0  0  0  0
+         0  0  1 -1  0  0  0  0 |  0  0  0  0  0  0  0  0
+         0  0  0  0  0  0  0  0 |  0  0  0  0  1  1  1  1
+         0  0  0  0  1  0  0  0 |  0  0  0  0  0  0  0  0
+         0  0  0  0  0  1  0  0 |  0  0  0  0  0  0  0  0
+         0  0  0  0  0  0  1  0 |  0  0  0  0  0  0  0  0
+         0  0  0  0  0  0  0  1 |  0  0  0  0  0  0  0  0""",
+}
+
+
 class TestBCMatrices:
     def test_pt_dirichlet_rows(self, graph123):
         bc = pg.bc_matrices(pg.PT_DIRICHLET, graph123)
@@ -135,6 +183,14 @@ class TestBCMatrices:
     def test_unknown_family(self, graph123):
         with pytest.raises(pg.UnknownFamily):
             pg.bc_matrices("free", graph123)
+
+    @pytest.mark.parametrize("family, n", sorted(BC_TABLE))
+    def test_table_entry_for_entry(self, family, n):
+        rows = [row.split() for row in BC_TABLE[family, n].strip().splitlines()]
+        ab = np.array([r[:2 * n] + r[2 * n + 1:] for r in rows], dtype=float)
+        bc = pg.bc_matrices(family, pg.make_star_graph([1.0 + 0.1 * j for j in range(n)]))
+        assert bc.a.dtype == bc.b.dtype == complex
+        assert np.array_equal(bc.a, ab[:, :2 * n]) and np.array_equal(bc.b, ab[:, 2 * n:])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
     def test_non_finite_entries_rejected(self, graph123, bad):
@@ -167,6 +223,72 @@ class TestBCMatrices:
         f = pg.bond_function(graph123, *([fn(j) for j in range(3)] for fn in (val, der, sec)))
         bc = pg.bc_matrices(pg.KIRCHHOFF_REF, graph123)
         assert pg.bc_residual(bc, pg.trace_vectors(f)) > 0.1
+
+
+def identity_rows(n_bonds=3):
+    """The (A | B) rows of A = I, B = 0 as text tokens, 2N rows of 4N."""
+    m = 2 * n_bonds
+    return [["1" if j == i else "0" for j in range(2 * m)] for i in range(m)]
+
+
+def with_row(i, row):
+    """identity_rows() with row i replaced."""
+    rows = identity_rows()
+    rows[i] = row
+    return rows
+
+
+def write_rows(path, rows):
+    path.write_text("\n".join(" ".join(r) for r in rows) + "\n")
+    return path
+
+
+class TestLoadBCMatrices:
+    def test_identity_pair(self, tmp_path):
+        bc = pg.load_bc_matrices(write_rows(tmp_path / "ab.txt", identity_rows()), 3)
+        assert bc.family == pg.CUSTOM and bc.n_bonds == 3
+        assert np.array_equal(bc.a, np.eye(6)) and np.array_equal(bc.b, np.zeros((6, 6)))
+
+    def test_comments_and_blank_lines_are_skipped(self, tmp_path):
+        rows = [" ".join(r) for r in identity_rows()]
+        text = "# (A | B) = (I | 0)\n\n" + "\n".join(rows[:3]) + "\n   \n# mid\n" + "\n".join(rows[3:])
+        (tmp_path / "ab.txt").write_text(text + "\n\n")
+        bc = pg.load_bc_matrices(tmp_path / "ab.txt", 3)
+        assert np.array_equal(bc.a, np.eye(6)) and np.array_equal(bc.b, np.zeros((6, 6)))
+
+    def test_benchmark_pair_bytes(self):
+        # perfbench/data/custom_pt3.txt: pt-dirichlet on (1, 1.5, 2) with the
+        # summed row scaled by 1 + 0.5j, as the CLI parser it replaces read it
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "custom_pt3.txt"
+        bc = pg.load_bc_matrices(path, 3)
+        want = pg.bc_matrices(pg.PT_DIRICHLET, pg.make_star_graph([1.0, 1.5, 2.0]))
+        b = want.b.copy()
+        b[2] *= 1 + 0.5j
+        assert bc.a.tobytes() == want.a.tobytes() and bc.b.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("rows, error", [
+        (identity_rows()[:-1], pg.DimensionMismatch),
+        (identity_rows() + identity_rows()[:1], pg.DimensionMismatch),
+        ([], pg.DimensionMismatch),
+        (with_row(2, ["0"] * 11), pg.DimensionMismatch),
+        (with_row(2, ["0"] * 4 + ["1+"] + ["0"] * 7), pg.NonFiniteInput),
+        (with_row(2, ["0", "nan"] + ["0"] * 10), pg.NonFiniteInput),
+        (with_row(2, ["0"] * 7 + ["inf"] + ["0"] * 4), pg.NonFiniteInput),
+    ], ids=["2N-1 rows", "2N+1 rows", "no rows", "4N-1 entries", "unparsable", "nan in A", "inf in B"])
+    def test_malformed_file_raises_a_typed_error(self, tmp_path, rows, error):
+        path = write_rows(tmp_path / "ab.txt", rows)
+        with pytest.raises(error):
+            pg.load_bc_matrices(path, 3)
+
+    def test_unreadable_file_raises_a_typed_error(self, tmp_path):
+        with pytest.raises(pg.UnknownFamily):
+            pg.load_bc_matrices(tmp_path / "missing.txt", 3)
+        with pytest.raises(pg.UnknownFamily):
+            pg.load_bc_matrices(tmp_path, 3)
+        # not text under UTF-8; under a one-byte locale encoding its row is malformed
+        (tmp_path / "binary.txt").write_bytes(b"\xff\xfe 1 0\n")
+        with pytest.raises(pg.PTGraphError):
+            pg.load_bc_matrices(tmp_path / "binary.txt", 3)
 
 
 class TestBCResidual:

@@ -21,6 +21,18 @@ def run_cli(*args: str, text: bool = True, timeout: float | None = None) -> subp
     return subprocess.run(cmd, capture_output=True, text=text, timeout=timeout)
 
 
+def run_in_process(capsys, *args: str) -> subprocess.CompletedProcess:
+    """cli.main(args) in this process, with the exit code, stdout and stderr
+    that run_cli would give; argparse's own exits are caught."""
+    capsys.readouterr()
+    try:
+        code = cli.main(list(args))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return subprocess.CompletedProcess(args, code, out, err)
+
+
 def data_rows(text: str) -> list[str]:
     return [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
 
@@ -328,7 +340,7 @@ class TestVerify:
         assert "[WARN]" in cp.stdout
         assert "incomplete" in cp.stdout
 
-    def test_custom_matrices_pass(self, tmp_path: Path):
+    def test_custom_matrices_pass(self, tmp_path: Path, capsys):
         # a valid pair: A = identity, B = 0 (pure value conditions)
         rows = []
         for i in range(6):
@@ -336,36 +348,56 @@ class TestVerify:
             rows.append(" ".join(a_row + ["0"] * 6))
         path = tmp_path / "ab.txt"
         path.write_text("\n".join(rows) + "\n")
-        cp = run_cli("verify", "--lengths", "1,1.5,2", "--family", f"custom:{path}")
+        cp = run_in_process(capsys, "verify", "--lengths", "1,1.5,2", "--family", f"custom:{path}")
         assert cp.returncode == 0, cp.stdout + cp.stderr
         assert "rank_ab : 6" in cp.stdout
         assert "result: PASS" in cp.stdout
 
-    def test_rank_deficient_custom_fails(self, tmp_path: Path):
+    def test_rank_deficient_custom_fails(self, tmp_path: Path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("\n".join([" ".join(["0"] * 12)] * 6) + "\n")
-        cp = run_cli("verify", "--lengths", "1,1.5,2", "--family", f"custom:{path}")
+        cp = run_in_process(capsys, "verify", "--lengths", "1,1.5,2", "--family", f"custom:{path}")
         assert cp.returncode == 1
         assert "[FAIL] rank(A|B)" in cp.stdout
 
-    def test_malformed_custom_file(self, tmp_path: Path):
+    def test_malformed_custom_file(self, tmp_path: Path, capsys):
         path = tmp_path / "short.txt"
         path.write_text("1 0\n")
-        cp = run_cli("verify", "--lengths", "1,1.5,2", "--family", f"custom:{path}")
+        cp = run_in_process(capsys, "verify", "--lengths", "1,1.5,2", "--family", f"custom:{path}")
         assert cp.returncode == 2
         assert "--family" in cp.stderr
 
     @pytest.mark.parametrize("entry, block", [("nan", 0), ("inf", 6)])
-    def test_non_finite_custom_entry_is_a_usage_error(self, tmp_path: Path, entry, block):
+    def test_non_finite_custom_entry_is_a_usage_error(self, tmp_path: Path, capsys, entry, block):
         # A = identity, B = 0, with one entry of A (block 0) or of B (block 6) non-finite
         rows = [["1" if j == i else "0" for j in range(12)] for i in range(6)]
         rows[2][block + 1] = entry
         path = tmp_path / "ab.txt"
         path.write_text("\n".join(" ".join(r) for r in rows) + "\n")
-        cp = run_cli("verify", "--lengths", "1,1.5,2", "--family", f"custom:{path}")
+        cp = run_in_process(capsys, "verify", "--lengths", "1,1.5,2", "--family", f"custom:{path}")
         assert cp.returncode == 2
         assert cp.stdout == ""
         assert cp.stderr.startswith("error: --family:") and "finite" in cp.stderr
+
+    @pytest.mark.parametrize("content", [
+        None,
+        b"\xff\xfe 1 0\n",
+        "1 1 1 1 1 1 1 1 1 1 1 1\n" * 5,
+        "1 1 1 1 1 1 1 1 1 1 1 1\n" * 7,
+        "1 1 1 1 1 1 1 1 1 1 1 1\n" * 5 + "1 1 1 1 1 1 1 1 1 1 1\n",
+        "1 1 1 1 1 1 1 1 1 1 1 1\n" * 5 + "1 1 1 1 1 1 1 1 1 1 1 1+\n",
+    ], ids=["missing file", "binary file", "2N-1 rows", "2N+1 rows", "4N-1 entries",
+            "unparsable entry"])
+    def test_custom_file_errors_are_usage_errors(self, tmp_path: Path, capsys, content):
+        path = tmp_path / "ab.txt"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content)
+        cp = run_in_process(capsys, "verify", "--lengths", "1,1.5,2", "--family", f"custom:{path}")
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert cp.stderr.startswith("error: --family:")
 
     @pytest.mark.parametrize("args, evaluations", [
         (("--lengths", "1.2,1.45,1.05,1.9", "--kmax", "25"), 4 * 4 * 5),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ptgraph as pg
+from perfbench.tracer import Tracer
 from ptgraph import spectral
 from util import (
     GOLDEN_K1,
@@ -202,15 +203,15 @@ class TestEigenmode:
         mode = basis123_d.modes[0]
         # outer ends vanish exactly; vertex values agree across bonds
         for bond in (1, 2, 3):
-            assert pg.evaluate_mode(mode, bond, graph123.length(bond)) == 0.0
-        v = [pg.evaluate_mode(mode, b, 0.0) for b in (1, 2, 3)]
+            assert mode.value(bond, graph123.length(bond)) == 0.0
+        v = [mode.value(b, 0.0) for b in (1, 2, 3)]
         assert v[0] == v[1] == v[2]
 
     def test_neumann_family_conditions(self, basis123_n, graph123):
         mode = basis123_n.modes[0]
         for bond in (1, 2, 3):
-            assert pg.evaluate_mode_deriv(mode, bond, graph123.length(bond)) == 0.0
-        total = sum(pg.evaluate_mode(mode, b, graph123.length(b)) for b in (1, 2, 3))
+            assert mode.deriv(bond, graph123.length(bond)) == 0.0
+        total = sum(mode.value(b, graph123.length(b)) for b in (1, 2, 3))
         assert abs(total) < 1e-10
 
     def test_norms_equal_one(self, basis123_d, basis123_n):
@@ -266,8 +267,8 @@ class TestEigenmode:
             mode = basis.modes[1]
             for bond in (1, 2, 3):
                 x = 0.5 * mode.graph.length(bond)
-                fd = fd_derivative(lambda u: pg.evaluate_mode(mode, bond, u).real, x)
-                assert abs(pg.evaluate_mode_deriv(mode, bond, x).real - fd) < 1e-6
+                fd = fd_derivative(lambda u: mode.value(bond, u).real, x)
+                assert abs(mode.deriv(bond, x).real - fd) < 1e-6
 
     def test_ode_residual(self, basis123_d):
         # -psi'' = k^2 psi checked by fourth-order differences at interior points
@@ -277,20 +278,18 @@ class TestEigenmode:
         for bond in (1, 2, 3):
             lj = mode.graph.length(bond)
             for x in rng.uniform(0.05 * lj, 0.95 * lj, size=10):
-                psi = pg.evaluate_mode(mode, bond, float(x)).real
-                d2 = fd_second_derivative(lambda u: pg.evaluate_mode(mode, bond, u).real, float(x))
+                psi = mode.value(bond, float(x)).real
+                d2 = fd_second_derivative(lambda u: mode.value(bond, u).real, float(x))
                 assert abs(-d2 - k2 * psi) < 1e-5 * max(1.0, k2)
 
-    def test_out_of_domain(self, basis123_d, graph123):
+    def test_out_of_domain(self, basis123_d):
+        # the bond index is checked by MetricStarGraph.length
         mode = basis123_d.modes[0]
-        with pytest.raises(pg.OutOfDomain):
-            pg.evaluate_mode(mode, 0, 0.5)
-        with pytest.raises(pg.OutOfDomain):
-            pg.evaluate_mode(mode, 4, 0.5)
-        with pytest.raises(pg.OutOfDomain):
-            pg.evaluate_mode(mode, 1, -0.1)
-        with pytest.raises(pg.OutOfDomain):
-            pg.evaluate_mode(mode, 1, graph123.length(1) + 0.1)
+        for read in (mode.value, mode.deriv):
+            with pytest.raises(pg.OutOfDomain):
+                read(0, 0.5)
+            with pytest.raises(pg.OutOfDomain):
+                read(4, 0.5)
 
 
 class TestBuildBasis:
@@ -376,3 +375,41 @@ class TestProfiles:
             assert head.profiles(3, xs, order).tobytes() == basis_inc_d.profiles(3, xs, order)[:4].tobytes()
         with pytest.raises(pg.OutOfDomain):
             head.profiles(4, xs)
+
+
+@pytest.mark.parametrize("entry, family", [
+    (lambda g, fam: pg.bc_matrices(fam, g), "free"),
+    (lambda g, fam: pg.find_roots(g, 0.0, 5.0, fam), "free"),
+    (lambda g, fam: pg.eigenmode(GOLDEN_K1, fam, g), "free"),
+    (lambda g, fam: pg.build_basis(g, fam, 5.0), "free"),
+    (lambda g, fam: pg.find_roots(g, 0.0, 5.0, fam), pg.CUSTOM),
+    (lambda g, fam: pg.eigenmode(GOLDEN_K1, fam, g), pg.CUSTOM),
+    (lambda g, fam: pg.build_basis(g, fam, 5.0), pg.CUSTOM),
+], ids=["bc_matrices", "find_roots", "eigenmode", "build_basis",
+        "find_roots-custom", "eigenmode-custom", "build_basis-custom"])
+def test_tag_without_a_table_row_is_an_unknown_family(graph123, entry, family):
+    with pytest.raises(pg.UnknownFamily):
+        entry(graph123, family)
+
+
+@pytest.mark.parametrize("family", pg.BUILTIN_FAMILIES)
+def test_tracer_counts_every_secular_point(graph_inc, family, monkeypatch):
+    # the benchmark's tracer counts spectral.secular.points by patching module
+    # attributes, so find_roots must call the secular functions through them
+    points = []
+
+    def counting(fn):
+        def counted(k, graph):
+            points.append(np.size(k))
+            return fn(k, graph)
+        return counted
+
+    for name in ("secular", "secular_kirchhoff"):
+        monkeypatch.setattr(spectral, name, counting(getattr(spectral, name)))
+    tracer = Tracer().install()
+    try:
+        roots = pg.find_roots(graph_inc, 0.0, 40.0, family)
+    finally:
+        tracer.uninstall()
+    assert roots and sum(points) > len(roots)
+    assert tracer.summary()["spectral.secular.points"] == sum(points)
