@@ -32,6 +32,7 @@ from .errors import (
     InsufficientBasis,
     NonFiniteInput,
     OutOfDomain,
+    TooFewBonds,
     UnknownFamily,
 )
 from .graph import DEFAULT_RESOLUTION, MetricStarGraph, _grid_slices, bond_grid, quadrature
@@ -220,6 +221,13 @@ def trace_vectors(f: BondFunction) -> TraceVectors:
     return TraceVectors(f.graph, ends)
 
 
+def _slot_count(n_bonds: int) -> int:
+    """2N trace slots of an N-bond pair; N < 2 raises TooFewBonds, as for a star graph."""
+    if n_bonds < 2:
+        raise TooFewBonds(f"a condition pair needs at least 2 bonds, got {n_bonds}")
+    return 2 * n_bonds
+
+
 @dataclass(frozen=True)
 class BCMatrices:
     """Matrix pair (A, B) acting on trace vectors: A psi + B dpsi = 0.
@@ -235,11 +243,9 @@ class BCMatrices:
     n_bonds: int
 
     def __post_init__(self):
-        m = 2 * self.n_bonds
+        m = _slot_count(self.n_bonds)
         if self.a.shape != (m, m) or self.b.shape != (m, m):
-            raise DimensionMismatch(
-                f"expected {m}x{m} matrices, got {self.a.shape} and {self.b.shape}"
-            )
+            raise DimensionMismatch(f"expected {m}x{m} matrices, got {self.a.shape} and {self.b.shape}")
         if not (np.isfinite(self.a).all() and np.isfinite(self.b).all()):
             raise NonFiniteInput("A and B must have finite entries")
 
@@ -256,7 +262,6 @@ class _Family(NamedTuple):
     slot j and -1 at slot j+1 of the block, row N (`summed`) a coefficient at
     every slot, and rows N+1..2N (`outer`) a coefficient at slot j."""
 
-    tag: str
     matching: tuple
     summed: tuple
     outer: tuple
@@ -268,15 +273,15 @@ class _Family(NamedTuple):
         return self.outer[0] == _A
 
 
-_FAMILIES = {fam.tag: fam for fam in (
+_FAMILIES = {
     # f_1(0) = ... = f_N(0); sum_j f_j'(L_j) = 0 (dpsi holds -f_j'(L_j)); f_j(L_j) = 0
-    _Family(PT_DIRICHLET, matching=(_A, 0), summed=(_B, 0, -1.0), outer=(_A, 1, 1.0)),
+    PT_DIRICHLET: _Family(matching=(_A, 0), summed=(_B, 0, -1.0), outer=(_A, 1, 1.0)),
     # f_1'(0) = ... = f_N'(0); sum_j f_j(L_j) = 0; f_j'(L_j) = 0
-    _Family(PT_NEUMANN, matching=(_B, 1), summed=(_A, 1, 1.0), outer=(_B, 0, -1.0)),
+    PT_NEUMANN: _Family(matching=(_B, 1), summed=(_A, 1, 1.0), outer=(_B, 0, -1.0)),
     # f_1(0) = ... = f_N(0); sum_j f_j'(0) = 0; f_j(L_j) = 0
-    _Family(KIRCHHOFF_REF, matching=(_A, 0), summed=(_B, 1, 1.0), outer=(_A, 1, 1.0),
-            self_adjoint=True),
-)}
+    KIRCHHOFF_REF: _Family(matching=(_A, 0), summed=(_B, 1, 1.0), outer=(_A, 1, 1.0),
+                           self_adjoint=True),
+}
 
 BUILTIN_FAMILIES = tuple(_FAMILIES)
 
@@ -311,17 +316,17 @@ def bc_matrices(family: str, graph: MetricStarGraph) -> BCMatrices:
 
 
 def load_bc_matrices(path, n_bonds: int) -> BCMatrices:
-    """Read a custom pair from a text file: 2N rows of 4N whitespace-separated
-    complex entries ('re' or 're+imj'), the A block first, then the B block;
-    blank lines and lines starting with '#' are skipped. An unreadable file
-    raises UnknownFamily, a row without 4N entries or a row count other than
-    2N DimensionMismatch, and an entry that is not a finite number NonFiniteInput."""
+    """Read a custom pair from a text file: 2N rows of 4N whitespace-separated complex
+    entries ('re' or 're+imj'), the A block first, then the B block; blank lines and lines
+    starting with '#' are skipped. N < 2 raises TooFewBonds, an unreadable file UnknownFamily,
+    a row without 4N entries or a row count other than 2N DimensionMismatch, and an entry
+    that is not a finite number NonFiniteInput."""
     try:
         with open(path) as fh:
             rows = [line.split() for line in fh if line.strip() and not line.startswith("#")]
     except (OSError, UnicodeDecodeError) as exc:
         raise UnknownFamily(f"cannot be read ({exc})") from None
-    m = 2 * n_bonds
+    m = _slot_count(n_bonds)  # before the rows are sized by it
     entries = []
     for i, row in enumerate(rows, start=1):
         if len(row) != 2 * m:
@@ -337,9 +342,7 @@ def load_bc_matrices(path, n_bonds: int) -> BCMatrices:
 def bc_residual(bc: BCMatrices, t: TraceVectors) -> float:
     """Euclidean norm of A psi + B dpsi."""
     if t.n_bonds != bc.n_bonds:
-        raise DimensionMismatch(
-            f"trace vectors for {t.n_bonds} bonds, matrices for {bc.n_bonds}"
-        )
+        raise DimensionMismatch(f"trace vectors for {t.n_bonds} bonds, matrices for {bc.n_bonds}")
     return float(np.linalg.norm(bc.a @ t.psi + bc.b @ t.dpsi))
 
 

@@ -29,11 +29,11 @@ import numpy as np
 
 from . import __version__
 from .boundary import (
-    _FAMILIES,
     BUILTIN_FAMILIES,
     CUSTOM,
     PT_DIRICHLET,
     PT_NEUMANN,
+    _family,
     bc_matrices,
     bc_residual,
     check_ab_symmetry,
@@ -294,7 +294,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         self_adjoint = False
     else:
         bc = bc_matrices(cfg.family, graph)
-        self_adjoint = _FAMILIES[cfg.family].self_adjoint
+        self_adjoint = _family(cfg.family).self_adjoint
     ranks = check_ranks(bc)
     report.append(f"rank_a  : {ranks.rank_a}")
     report.append(f"rank_b  : {ranks.rank_b}")

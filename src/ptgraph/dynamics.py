@@ -21,12 +21,7 @@ from .boundary import (
     BondFunction, _bond_samples, _check_same_graph, _real_matvec, _sample, _weighted_sum
 )
 from .errors import (
-    DimensionMismatch,
-    EmptyBasis,
-    NonFiniteInput,
-    OutOfDomain,
-    SingularGram,
-    UnsortedGrid,
+    DimensionMismatch, EmptyBasis, NonFiniteInput, OutOfDomain, SingularGram, UnsortedGrid
 )
 from .graph import DEFAULT_RESOLUTION, _slices
 from .spectral import SpectralBasis
@@ -136,7 +131,8 @@ def evolve(state: WaveState, t: float) -> WaveState:
 
 def bond_current(state: WaveState, bond: int, x: float) -> float:
     """Probability current on one bond at position x in [0, L_bond] and the state's time."""
-    if not 0.0 <= x <= (lj := state.graph.length(bond)):
+    lj = state.graph.length(bond)
+    if not 0.0 <= x <= lj:
         raise OutOfDomain(f"x = {x} outside [0, {lj}] on bond {bond}")
     psi = complex(state.value(bond, float(x)))
     dpsi = complex(state.deriv(bond, float(x)))

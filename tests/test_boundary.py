@@ -201,6 +201,12 @@ class TestBCMatrices:
             with pytest.raises(pg.NonFiniteInput):
                 pg.BCMatrices(**{"a": bc.a, "b": bc.b, which: m}, family=pg.CUSTOM, n_bonds=3)
 
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_fewer_than_two_bonds_rejected(self, n):
+        m = np.zeros((max(2 * n, 0),) * 2)
+        with pytest.raises(pg.TooFewBonds):
+            pg.BCMatrices(a=m, b=m, family=pg.CUSTOM, n_bonds=n)
+
     def test_kirchhoff_annihilates_its_modes(self, basis123_k, graph123):
         bc = pg.bc_matrices(pg.KIRCHHOFF_REF, graph123)
         f = basis123_k.modes[0]
@@ -279,6 +285,13 @@ class TestLoadBCMatrices:
         path = write_rows(tmp_path / "ab.txt", rows)
         with pytest.raises(error):
             pg.load_bc_matrices(path, 3)
+
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_fewer_than_two_bonds_raises_too_few_bonds(self, tmp_path, n):
+        # an empty file, and the 2N rows of 4N entries the count asks for
+        for rows in ([], identity_rows(max(n, 0))):
+            with pytest.raises(pg.TooFewBonds):
+                pg.load_bc_matrices(write_rows(tmp_path / "ab.txt", rows), n)
 
     def test_unreadable_file_raises_a_typed_error(self, tmp_path):
         with pytest.raises(pg.UnknownFamily):

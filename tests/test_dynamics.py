@@ -224,6 +224,9 @@ class TestBondCurrent:
             pg.bond_current(s, 0, 0.1)
         with pytest.raises(pg.OutOfDomain):
             pg.bond_current(s, 1, 5.0)
+        for x in (-0.1, float("nan")):
+            with pytest.raises(pg.OutOfDomain):
+                pg.bond_current(s, 1, x)
 
 
 class TestVertexCurrent:
