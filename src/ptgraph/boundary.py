@@ -457,7 +457,7 @@ def cpt_inner(
     kernel = replace(basis, modes=basis.modes[:truncation])
     self_products, products = 0.0, 0j
     for j, x, w, phi in _bond_samples(kernel, resolution):
-        # reflected self-product: a uniform grid maps x -> L - x onto its reverse
+        # reflected self-product: the reversed grid is L - x to rounding, not bit for bit
         self_products += np.einsum("nr,nr,r->n", phi, phi[:, ::-1], w)
         a = _real_matvec(phi, w * np.conj(_sample(f, j, graph.length(j) - x)))
         b = _real_matvec(phi, w * _sample(g, j, x))
@@ -541,6 +541,6 @@ def omega_direct(
         if product == HERMITIAN:
             total += quadrature(hf * np.conj(gv) - fv * np.conj(hg), grid)
         else:
-            # reflected first argument: uniform grids map x -> L - x exactly
+            # reflected first argument: the reversed grid is L - x to rounding, not bit for bit
             total += quadrature(np.conj(hf[::-1]) * gv - np.conj(fv[::-1]) * hg, grid)
     return total

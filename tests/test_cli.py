@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import stat
@@ -15,22 +17,34 @@ from perfbench import cli_pool
 from ptgraph import cli, spectral
 from util import GOLDEN_K1
 
+#: seconds any child process may take, so a hang fails its test and does not stall
+#: the suite; the slowest child here takes about 1 s
+PROCESS_TIMEOUT = 10
 
-def run_cli(*args: str, text: bool = True, timeout: float | None = None) -> subprocess.CompletedProcess:
-    cmd = [sys.executable, "-m", "ptgraph", *args]
-    return subprocess.run(cmd, capture_output=True, text=text, timeout=timeout)
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """`ptgraph *args` as cli.main in this process, with the exit code, stdout
+    and stderr that the process gives; argparse's own exits are caught."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
-def run_in_process(capsys, *args: str) -> subprocess.CompletedProcess:
-    """cli.main(args) in this process, with the exit code, stdout and stderr
-    that run_cli would give; argparse's own exits are caught."""
-    capsys.readouterr()
-    try:
-        code = cli.main(list(args))
-    except SystemExit as exc:
-        code = exc.code
-    out, err = capsys.readouterr()
-    return subprocess.CompletedProcess(args, code, out, err)
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """`python *args` in a child process that imports the ptgraph under test."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pg.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=PROCESS_TIMEOUT)
+
+
+def launch(*args: str) -> subprocess.CompletedProcess:
+    """`python -m ptgraph *args` as a child process, for tests whose subject is
+    the process itself; every other test uses run_cli."""
+    return run_python("-m", "ptgraph", *args)
 
 
 def data_rows(text: str) -> list[str]:
@@ -69,9 +83,10 @@ class TestSpectrum:
         assert abs(float(k) - math.pi) < 1e-6
 
     def test_inseparable_roots_fail_without_output(self, tmp_path: Path):
-        # S = 2 sin k cos(k / 2) has a double root at pi that no sign change shows
+        # S = 2 sin k cos(k / 2) has a double root at pi that no sign change shows;
+        # _split_pt once hung on it, so this runs as a process under a timeout
         out = tmp_path / "r.csv"
-        cp = run_cli("spectrum", "--lengths", "1.5,0.5", "--kmax", "4", "--out", str(out), timeout=10)
+        cp = launch("spectrum", "--lengths", "1.5,0.5", "--kmax", "4", "--out", str(out))
         assert cp.returncode == 1
         assert "EvaluationFailure" in cp.stderr and "k = 3.14159" in cp.stderr
         assert cp.stdout == "" and list(tmp_path.iterdir()) == []
@@ -121,10 +136,10 @@ class TestSpectrum:
 
 @pytest.mark.parametrize("command", ["spectrum", "verify"])
 @pytest.mark.parametrize("tol", ["5", "1"])
-def test_tol_not_below_kmax_is_a_usage_error(capsys, command, tol):
-    assert cli.main([command, "--lengths", "1,2", "--kmax", "1", "--tol", tol]) == 2
-    captured = capsys.readouterr()
-    assert "--tol" in captured.err and captured.out == ""
+def test_tol_not_below_kmax_is_a_usage_error(command, tol):
+    cp = run_cli(command, "--lengths", "1,2", "--kmax", "1", "--tol", tol)
+    assert cp.returncode == 2
+    assert "--tol" in cp.stderr and cp.stdout == ""
 
 
 class TestModes:
@@ -169,9 +184,9 @@ class TestModes:
         monkeypatch.setattr(cli, "l2_inner", traced_l2_inner)
         monkeypatch.setattr(spectral, "l2_inner", traced_l2_inner)
         out = tmp_path / "modes.csv"
-        argv = ["modes", "--lengths", "1,1.3,1.7", "--kmax", "20", "--family", "pt-neumann",
-                "--resolution", "801", "--precision", "17", "--out", str(out)]
-        assert cli.main(argv) == 0
+        cp = run_cli("modes", "--lengths", "1,1.3,1.7", "--kmax", "20", "--family", "pt-neumann",
+                     "--resolution", "801", "--precision", "17", "--out", str(out))
+        assert cp.returncode == 0, cp.stderr
         assert calls[-1] == "build_basis" and calls.count("l2_inner") > 0
         monkeypatch.undo()
         basis = pg.build_basis(pg.make_star_graph([1.0, 1.3, 1.7]), pg.PT_NEUMANN, 20.0,
@@ -294,12 +309,12 @@ class TestEvolve:
         assert "--coeffs" in cp.stderr
 
     @pytest.mark.parametrize("raw", ["list:nan", "list:inf,1", "list:0.5,nanj"])
-    def test_non_finite_coefficient_is_a_usage_error(self, tmp_path: Path, capsys, raw):
+    def test_non_finite_coefficient_is_a_usage_error(self, tmp_path: Path, raw):
         out = tmp_path / "j.csv"
-        argv = ["evolve", "--lengths", "1,1.3,1.7", "--coeffs", raw, "--tsteps", "3", "--out", str(out)]
-        assert cli.main(argv) == 2
-        captured = capsys.readouterr()
-        assert "--coeffs" in captured.err and captured.out == ""
+        cp = run_cli("evolve", "--lengths", "1,1.3,1.7", "--coeffs", raw, "--tsteps", "3",
+                     "--out", str(out))
+        assert cp.returncode == 2
+        assert "--coeffs" in cp.stderr and cp.stdout == ""
         assert not out.exists()
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
@@ -340,7 +355,7 @@ class TestVerify:
         assert "[WARN]" in cp.stdout
         assert "incomplete" in cp.stdout
 
-    def test_custom_matrices_pass(self, tmp_path: Path, capsys):
+    def test_custom_matrices_pass(self, tmp_path: Path):
         # a valid pair: A = identity, B = 0 (pure value conditions)
         rows = []
         for i in range(6):
@@ -348,33 +363,33 @@ class TestVerify:
             rows.append(" ".join(a_row + ["0"] * 6))
         path = tmp_path / "ab.txt"
         path.write_text("\n".join(rows) + "\n")
-        cp = run_in_process(capsys, "verify", "--lengths", "1,1.5,2", "--family", f"custom:{path}")
+        cp = run_cli("verify", "--lengths", "1,1.5,2", "--family", f"custom:{path}")
         assert cp.returncode == 0, cp.stdout + cp.stderr
         assert "rank_ab : 6" in cp.stdout
         assert "result: PASS" in cp.stdout
 
-    def test_rank_deficient_custom_fails(self, tmp_path: Path, capsys):
+    def test_rank_deficient_custom_fails(self, tmp_path: Path):
         path = tmp_path / "bad.txt"
         path.write_text("\n".join([" ".join(["0"] * 12)] * 6) + "\n")
-        cp = run_in_process(capsys, "verify", "--lengths", "1,1.5,2", "--family", f"custom:{path}")
+        cp = run_cli("verify", "--lengths", "1,1.5,2", "--family", f"custom:{path}")
         assert cp.returncode == 1
         assert "[FAIL] rank(A|B)" in cp.stdout
 
-    def test_malformed_custom_file(self, tmp_path: Path, capsys):
+    def test_malformed_custom_file(self, tmp_path: Path):
         path = tmp_path / "short.txt"
         path.write_text("1 0\n")
-        cp = run_in_process(capsys, "verify", "--lengths", "1,1.5,2", "--family", f"custom:{path}")
+        cp = run_cli("verify", "--lengths", "1,1.5,2", "--family", f"custom:{path}")
         assert cp.returncode == 2
         assert "--family" in cp.stderr
 
     @pytest.mark.parametrize("entry, block", [("nan", 0), ("inf", 6)])
-    def test_non_finite_custom_entry_is_a_usage_error(self, tmp_path: Path, capsys, entry, block):
+    def test_non_finite_custom_entry_is_a_usage_error(self, tmp_path: Path, entry, block):
         # A = identity, B = 0, with one entry of A (block 0) or of B (block 6) non-finite
         rows = [["1" if j == i else "0" for j in range(12)] for i in range(6)]
         rows[2][block + 1] = entry
         path = tmp_path / "ab.txt"
         path.write_text("\n".join(" ".join(r) for r in rows) + "\n")
-        cp = run_in_process(capsys, "verify", "--lengths", "1,1.5,2", "--family", f"custom:{path}")
+        cp = run_cli("verify", "--lengths", "1,1.5,2", "--family", f"custom:{path}")
         assert cp.returncode == 2
         assert cp.stdout == ""
         assert cp.stderr.startswith("error: --family:") and "finite" in cp.stderr
@@ -388,13 +403,13 @@ class TestVerify:
         "1 1 1 1 1 1 1 1 1 1 1 1\n" * 5 + "1 1 1 1 1 1 1 1 1 1 1 1+\n",
     ], ids=["missing file", "binary file", "2N-1 rows", "2N+1 rows", "4N-1 entries",
             "unparsable entry"])
-    def test_custom_file_errors_are_usage_errors(self, tmp_path: Path, capsys, content):
+    def test_custom_file_errors_are_usage_errors(self, tmp_path: Path, content):
         path = tmp_path / "ab.txt"
         if isinstance(content, bytes):
             path.write_bytes(content)
         elif content is not None:
             path.write_text(content)
-        cp = run_in_process(capsys, "verify", "--lengths", "1,1.5,2", "--family", f"custom:{path}")
+        cp = run_cli("verify", "--lengths", "1,1.5,2", "--family", f"custom:{path}")
         assert cp.returncode == 2
         assert cp.stdout == ""
         assert cp.stderr.startswith("error: --family:")
@@ -403,7 +418,7 @@ class TestVerify:
         (("--lengths", "1.2,1.45,1.05,1.9", "--kmax", "25"), 4 * 4 * 5),
         (("--lengths", "1,1.3,1.7", "--family", "kirchhoff-ref"), 4 * 3 * 5),
     ])
-    def test_endpoints_are_evaluated_once_per_mode(self, monkeypatch, capsys, args, evaluations):
+    def test_endpoints_are_evaluated_once_per_mode(self, monkeypatch, args, evaluations):
         # one trace table per mode: f and f' at both ends of each of the N bonds
         scalar_calls = []
         evaluate = spectral.EigenMode.evaluate
@@ -414,8 +429,9 @@ class TestVerify:
             return evaluate(self, bond, x, order)
 
         monkeypatch.setattr(spectral.EigenMode, "evaluate", counted)
-        assert cli.main(["verify", *args]) == 0
-        assert "result: PASS" in capsys.readouterr().out
+        cp = run_cli("verify", *args)
+        assert cp.returncode == 0
+        assert "result: PASS" in cp.stdout
         assert len(scalar_calls) == len(set(scalar_calls)) == evaluations
 
     def test_report_written_to_file(self, tmp_path: Path):
@@ -438,7 +454,7 @@ sys.exit(rc)
 
 
 def peak_rss_kb(*args: str) -> int:
-    cp = subprocess.run([sys.executable, "-c", PEAK_SCRIPT, *args], capture_output=True, text=True)
+    cp = run_python("-c", PEAK_SCRIPT, *args)
     assert cp.returncode == 0, cp.stderr
     return int(cp.stdout)
 
@@ -454,11 +470,11 @@ class TestOutput:
     )
     def test_stdout_matches_out_file(self, tmp_path: Path, args):
         out = tmp_path / "a.csv"
-        to_file = run_cli(*args, "--out", str(out), text=False)
-        to_stdout = run_cli(*args, text=False)
+        to_file = run_cli(*args, "--out", str(out))
+        to_stdout = run_cli(*args)
         assert to_file.returncode == 0 and to_stdout.returncode == 0
-        assert to_file.stdout == b""
-        assert out.read_bytes() == to_stdout.stdout
+        assert to_file.stdout == ""
+        assert out.read_bytes() == to_stdout.stdout.encode()
 
     def test_atomic_write_keeps_target_on_error(self, tmp_path: Path):
         target = tmp_path / "a.csv"
@@ -530,8 +546,14 @@ class TestOutFile:
 
     @pytest.mark.parametrize("command", ["spectrum", "verify"])
     @pytest.mark.parametrize("target", ["missing/x.csv", "."])
-    def test_bad_target_is_a_usage_error(self, tmp_path: Path, command, target):
-        cp = run_cli(command, "--lengths", "1,1.5,2", "--out", str(tmp_path / target), timeout=10)
+    def test_bad_target_is_a_usage_error(self, tmp_path: Path, monkeypatch, command, target):
+        # the target is checked before any computation starts
+        def compute(*args, **kwargs):
+            raise AssertionError("computation started before --out was checked")
+
+        monkeypatch.setattr(cli, "find_roots", compute)
+        monkeypatch.setattr(cli, "build_basis", compute)
+        cp = run_cli(command, "--lengths", "1,1.5,2", "--out", str(tmp_path / target))
         assert cp.returncode == 2
         assert "--out" in cp.stderr
         assert cp.stdout == ""
@@ -542,25 +564,32 @@ class TestOutFile:
 REPO = Path(cli_pool.__file__).resolve().parents[1]
 
 
-def run_pool_spec(spec: str, out: Path) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(Path(pg.__file__).resolve().parents[1]))
-    return subprocess.run(cli_pool.argv_for(spec, str(out)), cwd=REPO, env=env,
-                          capture_output=True, text=True)
-
-
 class TestArtifacts:
     """The benchmark's configurations write exactly the recorded bytes."""
 
+    @pytest.mark.parametrize("command", ["spectrum", "modes", "evolve", "verify"])
+    def test_in_process_run_matches_the_process(self, tmp_path: Path, command):
+        # the first configuration of each subcommand: run_cli gives the bytes of the process
+        spec = next(s for s in cli_pool.CONFIGS.values() if s.split()[0] == command).split()
+        proc, here = tmp_path / "process.out", tmp_path / "in-process.out"
+        launched = launch(*spec, "--out", str(proc))
+        cp = run_cli(*spec, "--out", str(here))
+        assert launched.returncode == 0, launched.stderr
+        assert (cp.returncode, cp.stdout, cp.stderr) == (
+            launched.returncode, launched.stdout, launched.stderr)
+        assert here.read_bytes() == proc.read_bytes()
+
     @pytest.mark.parametrize("cid", sorted(cli_pool.CONFIGS))
-    def test_digest(self, tmp_path: Path, cid):
+    def test_digest(self, tmp_path: Path, monkeypatch, cid):
+        monkeypatch.chdir(REPO)  # the custom: matrix path is relative to the checkout
         out = tmp_path / f"{cid}.out"
-        cp = run_pool_spec(cli_pool.CONFIGS[cid], out)
+        cp = run_cli(*cli_pool.CONFIGS[cid].split(), "--out", str(out))
         assert cp.returncode == 0, cp.stderr
         assert cli_pool.sha256_file(out) == cli_pool.load_digests()[cid]
 
     def test_resolution_probe(self, tmp_path: Path):
         out = tmp_path / "probe.out"
-        cp = run_pool_spec(cli_pool.PROBE, out)
+        cp = launch(*cli_pool.PROBE.split(), "--out", str(out))
         assert cp.returncode == 0, cp.stderr
         assert cli_pool.check_artifact(cli_pool.PROBE, out.read_text()) is None
 
@@ -572,15 +601,15 @@ class TestEntryPoints:
         # any of them at run time would add to every process start
         unwanted = "{'scipy', 'mpmath', 'hypothesis', 'ptgraph.cli', 'argparse'}"
         code = f"import sys, ptgraph; print(sorted({unwanted} & set(sys.modules)))"
-        cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        cp = run_python("-c", code)
         assert cp.returncode == 0, cp.stderr
         assert cp.stdout.strip() == "[]"
 
     def test_help(self):
-        cp = run_cli("--help")
+        cp = launch("--help")
         assert cp.returncode == 0
         assert "spectrum" in cp.stdout and "verify" in cp.stdout
 
     def test_missing_subcommand(self):
-        cp = run_cli()
+        cp = launch()
         assert cp.returncode == 2
