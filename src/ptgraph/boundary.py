@@ -234,13 +234,17 @@ class BCMatrices:
 
     A well-posed condition set has rank(A|B) = 2N; that is reported by
     check_ranks rather than enforced here, so deficient pairs (e.g. from a
-    corrupted custom file) can still be inspected.
+    corrupted custom file) can still be inspected. N is read from A, whose
+    2N columns act on the slots.
     """
 
     a: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
     family: str
-    n_bonds: int
+
+    @property
+    def n_bonds(self) -> int:
+        return np.shape(self.a)[-1] // 2 if np.ndim(self.a) else 0
 
     def __post_init__(self):
         m = _slot_count(self.n_bonds)
@@ -312,7 +316,7 @@ def bc_matrices(family: str, graph: MetricStarGraph) -> BCMatrices:
     ab[m, n - 1, block * n + j] = c
     m, block, c = fam.outer
     ab[m, n + j, block * n + j] = c
-    return BCMatrices(a=ab[_A], b=ab[_B], family=family, n_bonds=n)
+    return BCMatrices(a=ab[_A], b=ab[_B], family=family)
 
 
 def load_bc_matrices(path, n_bonds: int) -> BCMatrices:
@@ -336,7 +340,7 @@ def load_bc_matrices(path, n_bonds: int) -> BCMatrices:
         except ValueError as exc:
             raise NonFiniteInput(f"row {i}: could not parse entry: {exc}") from None
     full = np.array(entries, dtype=complex).reshape(len(rows), 2 * m)  # also with no rows
-    return BCMatrices(a=full[:, :m], b=full[:, m:], family=CUSTOM, n_bonds=n_bonds)
+    return BCMatrices(a=full[:, :m], b=full[:, m:], family=CUSTOM)
 
 
 def bc_residual(bc: BCMatrices, t: TraceVectors) -> float:
@@ -448,7 +452,7 @@ def cpt_inner(
     """
     graph = _check_same_graph(f, g)
     _check_same_graph(f, basis)
-    if not isinstance(truncation, (int, np.integer)) or truncation < 1:
+    if isinstance(truncation, bool) or not isinstance(truncation, (int, np.integer)) or truncation < 1:
         raise InsufficientBasis(f"truncation must be an integer >= 1, got {truncation!r}")
     if len(basis.modes) < truncation:
         raise InsufficientBasis(

@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__
 from .boundary import (
     BUILTIN_FAMILIES,
+    BCMatrices,
     CUSTOM,
     PT_DIRICHLET,
     PT_NEUMANN,
@@ -63,16 +64,15 @@ VERIFY_MODE_COUNT = 5
 
 
 class UsageError(Exception):
-    """Bad flag value; carries the flag name for the error message."""
+    """Bad flag value; the message starts with the flag name."""
 
     def __init__(self, flag: str, message: str):
         super().__init__(f"{flag}: {message}")
-        self.flag = flag
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run: what `from_args` derives from the flags, and the flags.
+    """Validated run: the graph and condition pair the flags name, and the flags.
 
     `from_args` checks the parsed flags against the library preconditions
     and raises UsageError naming the offending flag on any violation; the
@@ -80,8 +80,7 @@ class RunConfig:
     """
 
     graph: MetricStarGraph
-    family: str
-    custom_path: Optional[str]
+    pair: BCMatrices
     args: argparse.Namespace
 
     @classmethod
@@ -95,7 +94,11 @@ class RunConfig:
         except PTGraphError as exc:
             raise UsageError("--lengths", str(exc))
 
-        family, custom_path = cls._resolve_family(args.family, allowed_families)
+        tag, _, path = args.family.partition(":")  # a built-in tag, or custom:<path>
+        if (CUSTOM if tag == CUSTOM else args.family) not in allowed_families:
+            raise UsageError("--family", f"{args.family!r} is not one of {', '.join(allowed_families)}")
+        if tag == CUSTOM and not path:
+            raise UsageError("--family", "custom family needs a file path (custom:<path>)")
         if not (args.kmax > 0 and math.isfinite(args.kmax)):
             raise UsageError("--kmax", f"must be a positive number, got {args.kmax}")
         if not (args.tol > 0 and math.isfinite(args.tol)):
@@ -116,18 +119,12 @@ class RunConfig:
                 raise UsageError("--out", f"{args.out!r} is a directory")
             if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
                 raise UsageError("--out", f"the directory of {args.out!r} does not exist")
-        return cls(graph, family, custom_path, args)
-
-    @staticmethod
-    def _resolve_family(raw: str, allowed):
-        if raw in allowed:
-            return raw, None
-        if raw.startswith("custom:") and CUSTOM in allowed:
-            path = raw[len("custom:"):]
-            if not path:
-                raise UsageError("--family", "custom family needs a file path (custom:<path>)")
-            return CUSTOM, path
-        raise UsageError("--family", f"{raw!r} is not one of {', '.join(allowed)}")
+        if tag != CUSTOM:
+            return cls(graph, bc_matrices(args.family, graph), args)
+        try:  # last, so a bad flag is reported before a bad file
+            return cls(graph, load_bc_matrices(path, graph.n_bonds), args)
+        except PTGraphError as exc:
+            raise UsageError("--family", f"custom matrix file: {exc}")
 
 
 def _column(values, precision: int) -> list[str]:
@@ -183,7 +180,7 @@ def _config_comments(args) -> list[str]:
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     a = cfg.args
-    roots = find_roots(cfg.graph, a.tol, a.kmax, cfg.family)
+    roots = find_roots(cfg.graph, a.tol, a.kmax, cfg.pair.family)
     lines = _config_comments(a)
     lines.append("n,k,degenerate")
     ks = _column([r.k for r in roots], a.precision)
@@ -197,7 +194,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 def cmd_modes(cfg: RunConfig) -> int:
     a = cfg.args
-    basis = build_basis(cfg.graph, cfg.family, a.kmax, k_min=a.tol, resolution=a.resolution)
+    basis = build_basis(cfg.graph, cfg.pair.family, a.kmax, k_min=a.tol, resolution=a.resolution)
     lines = _config_comments(a)
     for n, mode in enumerate(basis.modes, start=1):
         lines.append(f"# norm_check,{n},{_fmt(mode.norm_check, a.precision)}")
@@ -255,7 +252,7 @@ def _parse_coeffs(raw: str, n_modes: int) -> np.ndarray:
 
 def cmd_evolve(cfg: RunConfig) -> int:
     a = cfg.args
-    basis = build_basis(cfg.graph, cfg.family, a.kmax, k_min=a.tol, resolution=a.resolution)
+    basis = build_basis(cfg.graph, cfg.pair.family, a.kmax, k_min=a.tol, resolution=a.resolution)
     coeffs = _parse_coeffs(a.coeffs, len(basis.modes))
     state = WaveState(basis=basis, coeffs=coeffs, t=0.0)
     series = current_series(state, np.linspace(0.0, a.tmax, a.tsteps))
@@ -284,17 +281,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         if tol is not None:
             check(value < tol, f"{label} < {tol:g}")
 
-    n2 = 2 * graph.n_bonds
-
-    if cfg.family == CUSTOM:
-        try:
-            bc = load_bc_matrices(cfg.custom_path, graph.n_bonds)
-        except PTGraphError as exc:
-            raise UsageError("--family", f"custom matrix file: {exc}")
-        self_adjoint = False
-    else:
-        bc = bc_matrices(cfg.family, graph)
-        self_adjoint = _family(cfg.family).self_adjoint
+    n2, bc = 2 * graph.n_bonds, cfg.pair
+    self_adjoint = bc.family != CUSTOM and _family(bc.family).self_adjoint
     ranks = check_ranks(bc)
     report.append(f"rank_a  : {ranks.rank_a}")
     report.append(f"rank_b  : {ranks.rank_b}")
@@ -313,10 +301,10 @@ def cmd_verify(cfg: RunConfig) -> int:
             "[INFO] defect recorded only: non-self-adjoint families are nonzero here by design"
         )
 
-    if cfg.family == CUSTOM:
+    if bc.family == CUSTOM:
         report.append("[INFO] spectral checks need a built-in family; skipped for custom matrices")
     else:
-        basis = build_basis(graph, cfg.family, a.kmax, k_min=a.tol, resolution=a.resolution)
+        basis = build_basis(graph, bc.family, a.kmax, k_min=a.tol, resolution=a.resolution)
         modes = basis.modes[:VERIFY_MODE_COUNT]
         report.append(
             f"modes_used : {len(modes)} of {len(basis.modes)} regular "
@@ -387,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--lengths", required=True, help="comma-separated bond lengths, e.g. 1.0,1.5,2.0")
-        sp.add_argument("--family", default=PT_DIRICHLET,
-                        help="pt-dirichlet | pt-neumann | kirchhoff-ref | custom:<path>")
+        families = (f"{fam}:<path>" if fam == CUSTOM else fam for fam in _ALLOWED_FAMILIES[name])
+        sp.add_argument("--family", default=PT_DIRICHLET, help=" | ".join(families))
         sp.add_argument("--kmax", type=float, default=DEFAULT_KMAX, help="upper end of the root window")
         sp.add_argument("--tol", type=float, default=DEFAULT_ROOT_TOL, help="lower end k_min of the root window, excludes k = 0")
         sp.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION,

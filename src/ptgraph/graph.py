@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     EvenPointCount,
     LengthMismatch,
     NonFiniteInput,
@@ -44,18 +45,24 @@ class MetricStarGraph:
 def make_star_graph(lengths) -> MetricStarGraph:
     """Validate bond lengths and build a star graph.
 
-    Lengths are stored exactly as given; at least two bonds are required and
-    every length must be finite and positive.
+    Lengths are stored exactly as given; at least two bonds are required, every
+    length must be a finite positive number, and a str or bytes is refused.
     """
-    lengths = tuple(float(l) for l in lengths)
+    if isinstance(lengths, (str, bytes)):
+        raise DimensionMismatch(f"lengths must be a sequence of numbers, got {lengths!r}")
+    lengths = tuple(lengths)
     if len(lengths) < 2:
         raise TooFewBonds(f"a star graph needs at least 2 bonds, got {len(lengths)}")
     for j, l in enumerate(lengths, start=1):
+        try:
+            l = float(l)
+        except (TypeError, ValueError, OverflowError):
+            raise NonFiniteInput(f"bond {j} length is not a float: {l!r}") from None
         if not math.isfinite(l):
             raise NonFiniteInput(f"bond {j} length is not finite: {l!r}")
         if l <= 0.0:
             raise NonPositiveLength(f"bond {j} length must be > 0, got {l}")
-    return MetricStarGraph(lengths)
+    return MetricStarGraph(tuple(map(float, lengths)))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from functools import partial
 from pathlib import Path
@@ -199,13 +200,24 @@ class TestBCMatrices:
             m = getattr(bc, which).copy()
             m[2, 4] = bad
             with pytest.raises(pg.NonFiniteInput):
-                pg.BCMatrices(**{"a": bc.a, "b": bc.b, which: m}, family=pg.CUSTOM, n_bonds=3)
+                pg.BCMatrices(**{"a": bc.a, "b": bc.b, which: m}, family=pg.CUSTOM)
+
+    def test_bond_count_is_read_from_the_matrices(self):
+        m = np.zeros((10, 10), dtype=complex)
+        bc = pg.BCMatrices(a=m, b=m, family=pg.CUSTOM)
+        assert bc.n_bonds == 5
+        assert [f.name for f in dataclasses.fields(bc)] == ["a", "b", "family"]
+        for a, b in ((m, m[:8, :8]), (m[:8], m[:8]), (m[0], m[0])):
+            with pytest.raises(pg.DimensionMismatch):
+                pg.BCMatrices(a=a, b=b, family=pg.CUSTOM)
+        with pytest.raises(pg.TooFewBonds):  # no columns, so N = 0
+            pg.BCMatrices(a=m[0, 0], b=m[0, 0], family=pg.CUSTOM)
 
     @pytest.mark.parametrize("n", [1, 0, -1])
     def test_fewer_than_two_bonds_rejected(self, n):
         m = np.zeros((max(2 * n, 0),) * 2)
         with pytest.raises(pg.TooFewBonds):
-            pg.BCMatrices(a=m, b=m, family=pg.CUSTOM, n_bonds=n)
+            pg.BCMatrices(a=m, b=m, family=pg.CUSTOM)
 
     def test_kirchhoff_annihilates_its_modes(self, basis123_k, graph123):
         bc = pg.bc_matrices(pg.KIRCHHOFF_REF, graph123)
@@ -335,8 +347,8 @@ class TestABSymmetry:
     def test_identity_zero_pair(self):
         eye = np.eye(6, dtype=complex)
         zero = np.zeros((6, 6), dtype=complex)
-        assert pg.check_ab_symmetry(pg.BCMatrices(a=eye, b=zero, family=pg.CUSTOM, n_bonds=3)) == 0.0
-        assert pg.check_ab_symmetry(pg.BCMatrices(a=zero, b=eye, family=pg.CUSTOM, n_bonds=3)) == 0.0
+        assert pg.check_ab_symmetry(pg.BCMatrices(a=eye, b=zero, family=pg.CUSTOM)) == 0.0
+        assert pg.check_ab_symmetry(pg.BCMatrices(a=zero, b=eye, family=pg.CUSTOM)) == 0.0
 
     def test_kirchhoff_is_self_adjoint(self, graph123):
         bc = pg.bc_matrices(pg.KIRCHHOFF_REF, graph123)
@@ -352,12 +364,12 @@ class TestABSymmetry:
 class TestRanks:
     def test_identity_pair(self):
         eye = np.eye(6, dtype=complex)
-        r = pg.check_ranks(pg.BCMatrices(a=eye, b=eye, family=pg.CUSTOM, n_bonds=3))
+        r = pg.check_ranks(pg.BCMatrices(a=eye, b=eye, family=pg.CUSTOM))
         assert (r.rank_a, r.rank_b, r.rank_ab) == (6, 6, 6)
 
     def test_zero_pair(self):
         zero = np.zeros((6, 6), dtype=complex)
-        r = pg.check_ranks(pg.BCMatrices(a=zero, b=zero, family=pg.CUSTOM, n_bonds=3))
+        r = pg.check_ranks(pg.BCMatrices(a=zero, b=zero, family=pg.CUSTOM))
         assert (r.rank_a, r.rank_b, r.rank_ab) == (0, 0, 0)
 
     @pytest.mark.parametrize(
@@ -621,6 +633,13 @@ class TestCPTInner:
         for bad in (2.5, 2.0, "2", None):
             with pytest.raises(pg.InsufficientBasis):
                 pg.cpt_inner(z, z, basis_inc_d, truncation=bad)
+
+    def test_bool_truncation_refused(self, basis_inc_d, graph_inc):
+        # bool is an int subclass: True would otherwise run as truncation 1
+        z = pg.zero_function(graph_inc)
+        for bad in (True, False, np.bool_(True)):
+            with pytest.raises(pg.InsufficientBasis):
+                pg.cpt_inner(z, z, basis_inc_d, bad)
 
     def test_numpy_integer_truncation_accepted(self, basis_inc_d):
         f = basis_inc_d.modes[1]

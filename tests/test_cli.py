@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import math
 import os
@@ -140,6 +141,34 @@ def test_tol_not_below_kmax_is_a_usage_error(command, tol):
     cp = run_cli(command, "--lengths", "1,2", "--kmax", "1", "--tol", tol)
     assert cp.returncode == 2
     assert "--tol" in cp.stderr and cp.stdout == ""
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("family", ["kirchhoff-ref", "custom:perfbench/data/custom_pt3.txt"])
+    def test_pair_is_the_one_the_family_names(self, monkeypatch, family):
+        monkeypatch.chdir(REPO)
+        args = cli.build_parser().parse_args(["verify", "--lengths", "1,1.5,2", "--family", family])
+        cfg = cli.RunConfig.from_args(args, cli._ALLOWED_FAMILIES["verify"])
+        assert [f.name for f in dataclasses.fields(cfg)] == ["graph", "pair", "args"]
+        if family == pg.KIRCHHOFF_REF:
+            want = pg.bc_matrices(pg.KIRCHHOFF_REF, cfg.graph)
+        else:
+            want = pg.load_bc_matrices(REPO / "perfbench" / "data" / "custom_pt3.txt", 3)
+        assert cfg.pair.family == want.family
+        assert cfg.pair.a.tobytes() == want.a.tobytes() and cfg.pair.b.tobytes() == want.b.tobytes()
+
+    @pytest.mark.parametrize("command, families", [
+        ("spectrum", "pt-dirichlet | pt-neumann | kirchhoff-ref"),
+        ("modes", "pt-dirichlet | pt-neumann"),
+        ("evolve", "pt-dirichlet | pt-neumann | kirchhoff-ref"),
+        ("verify", "pt-dirichlet | pt-neumann | kirchhoff-ref | custom:<path>"),
+    ])
+    def test_family_help_lists_what_the_command_accepts(self, monkeypatch, command, families):
+        monkeypatch.setenv("COLUMNS", "200")  # one help line per flag
+        cp = run_cli(command, "--help")
+        assert cp.returncode == 0
+        line = next(ln for ln in cp.stdout.splitlines() if ln.strip().startswith("--family"))
+        assert line.split() == ["--family", "FAMILY", *families.split()]
 
 
 class TestModes:
@@ -413,6 +442,35 @@ class TestVerify:
         assert cp.returncode == 2
         assert cp.stdout == ""
         assert cp.stderr.startswith("error: --family:")
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot be read"),
+        ("1 0\n", "row 1 must have 12 entries, found 2"),
+    ], ids=["missing file", "malformed file"])
+    def test_custom_file_error_text(self, tmp_path: Path, content, message):
+        path = tmp_path / "ab.txt"
+        if content is not None:
+            path.write_text(content)
+        cp = run_cli("verify", "--lengths", "1,1.5,2", "--family", f"custom:{path}")
+        assert (cp.returncode, cp.stdout) == (2, "")
+        assert cp.stderr.startswith("error: --family: custom matrix file: ")
+        assert message in cp.stderr
+
+    @pytest.mark.parametrize("flag, args", [
+        ("--kmax", ("--kmax", "-1")),
+        ("--out", ("--out", "no-such-directory/report.txt")),
+    ])
+    def test_flag_errors_come_before_the_custom_file(self, tmp_path: Path, monkeypatch, flag, args):
+        monkeypatch.chdir(tmp_path)
+        cp = run_cli("verify", "--lengths", "1,1.5,2", "--family", "custom:missing.txt", *args)
+        assert (cp.returncode, cp.stdout) == (2, "")
+        assert cp.stderr.startswith(f"error: {flag}: ")
+
+    @pytest.mark.parametrize("family", ["custom", "custom:"])
+    def test_custom_family_needs_a_path(self, family):
+        cp = run_cli("verify", "--lengths", "1,1.5,2", "--family", family)
+        assert cp.returncode == 2
+        assert cp.stderr == "error: --family: custom family needs a file path (custom:<path>)\n"
 
     @pytest.mark.parametrize("args, evaluations", [
         (("--lengths", "1.2,1.45,1.05,1.9", "--kmax", "25"), 4 * 4 * 5),

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -119,3 +120,24 @@ def test_inseparable_roots_raise(lengths, k_min, k_max, k_stuck):
     last = cp.stderr.strip().splitlines()[-1]
     assert last.startswith("ptgraph.errors.EvaluationFailure")
     assert float(re.search(r"near k = (\S+)", last).group(1)) == pytest.approx(k_stuck, abs=1e-6)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_first_off_axis_pt_zero_reference(sign):
+    """Defect 1's first complex-conjugate zero of the PT secular function on
+    (1, 1.3, 1.7), the reference that a complex-zero locator must meet to 1e-12.
+
+    The product form is typed here in 40-digit arithmetic and shares no code
+    with the library; the pinned digits guard the reference itself.
+    """
+    with mpmath.workdps(40):
+        l1, l2, l3 = (mpmath.mpf(x) for x in ("1", "1.3", "1.7"))
+
+        def s(k):
+            s1, s2, s3 = mpmath.sin(k * l1), mpmath.sin(k * l2), mpmath.sin(k * l3)
+            return s2 * s3 + s1 * s3 + s1 * s2
+
+        k = mpmath.findroot(s, mpmath.mpc(5.47, sign * 0.545))
+        assert abs(s(k)) < 1e-30
+        want = mpmath.mpc("5.469998793107624279", sign * mpmath.mpf("0.545107173148999025"))
+        assert abs(k - want) < 1e-15

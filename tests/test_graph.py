@@ -39,6 +39,18 @@ class TestMakeStarGraph:
         with pytest.raises(pg.NonFiniteInput):
             pg.make_star_graph([1.0, bad, 3.0])
 
+    @pytest.mark.parametrize("text", ["12", b"12"], ids=["str", "bytes"])
+    def test_string_is_not_a_length_sequence(self, text):
+        # iterated, "12" would give lengths (1.0, 2.0) and b"12" (49.0, 50.0)
+        with pytest.raises(pg.DimensionMismatch):
+            pg.make_star_graph(text)
+
+    @pytest.mark.parametrize("bad", ["a", None, 1j, 10**400],
+                             ids=["text", "None", "complex", "too large"])
+    def test_unreadable_length_names_its_bond(self, bad):
+        with pytest.raises(pg.NonFiniteInput, match="bond 2"):
+            pg.make_star_graph([1.0, bad, 3.0])
+
     def test_length_accessor(self):
         g = pg.make_star_graph([1.0, 1.5, 2.0])
         assert g.length(2) == 1.5

@@ -168,8 +168,9 @@ def graph_kernel_cpt(basis, resolution):
     conj(f_j(L_j - x)) dx, b_n = sum_j int phi_n(x) g_j(x) dx and p_n = sum_j
     int phi_n(x) phi_n(L_j - x) dx. Each sum runs over all bonds, so the kernel
     couples them; cpt_inner instead pairs a and b bond by bond. The modes are
-    sampled once, by their own evaluators, on plain Simpson grids; x -> L_j - x
-    maps such a grid onto its reverse.
+    sampled once, by their own evaluators, on plain Simpson grids. The reflection
+    x -> L_j - x is read off the reversed grid, which equals L_j - x only to
+    rounding, not bit for bit.
     """
     bonds = []
     for j, lj in enumerate(basis.graph.lengths, start=1):
