@@ -45,6 +45,13 @@ class TestMakeStarGraph:
         with pytest.raises(pg.DimensionMismatch):
             pg.make_star_graph(text)
 
+    @pytest.mark.parametrize("bad", [3, None, {1: 2, 3: 4}], ids=["int", "None", "dict"])
+    def test_non_sequence_is_refused(self, bad):
+        # tuple() raises a bare TypeError on 3 and None, and reads a dict as
+        # its keys, lengths (1.0, 3.0)
+        with pytest.raises(pg.DimensionMismatch, match="sequence of numbers"):
+            pg.make_star_graph(bad)
+
     @pytest.mark.parametrize("bad", ["a", None, 1j, 10**400],
                              ids=["text", "None", "complex", "too large"])
     def test_unreadable_length_names_its_bond(self, bad):
