@@ -12,7 +12,7 @@ exhibit the breaking of current conservation at the vertex. A Hermitian
 public name imports the whole library (PEP 562).
 """
 
-from importlib import import_module
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
@@ -59,7 +59,7 @@ def __getattr__(name):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     if not _EXPORTS.keys() <= globals().keys():  # each import binds its submodule here
         for module in _EXPORTS:
-            import_module(f"{__name__}.{module}")
+            _import_module(f"{__name__}.{module}")
     owner = globals()[_OWNER[name]]
     return owner if name == _OWNER[name] else getattr(owner, name)
 

@@ -7,7 +7,7 @@ so that hbar = 2m = 1 and energies are k^2.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,13 +50,9 @@ def make_star_graph(lengths) -> MetricStarGraph:
     length must be a finite positive number, and a str, bytes, mapping or
     non-iterable is refused.
     """
-    if not isinstance(lengths, (str, bytes, Mapping)):
-        try:
-            lengths = tuple(lengths)
-        except TypeError:  # not iterable
-            pass
-    if not isinstance(lengths, tuple):
+    if isinstance(lengths, (str, bytes, Mapping)) or not isinstance(lengths, Iterable):
         raise DimensionMismatch(f"lengths must be a sequence of numbers, got {lengths!r}")
+    lengths = tuple(lengths)
     if len(lengths) < 2:
         raise TooFewBonds(f"a star graph needs at least 2 bonds, got {len(lengths)}")
     for j, l in enumerate(lengths, start=1):

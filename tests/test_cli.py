@@ -666,17 +666,21 @@ class TestEntryPoints:
     def test_import_defers_the_library_to_the_first_name(self):
         # the subject is what a fresh process loads: `import ptgraph` alone
         # pays for no numpy, and one lookup loads all five library modules
+        # and still none of the test-only packages or the CLI
+        unwanted = "{'scipy', 'mpmath', 'hypothesis', 'ptgraph.cli', 'argparse'}"
         code = ("import sys, ptgraph\n"
                 "def loaded(): return ('numpy' in sys.modules, "
                 "[m for m in sys.modules if m.startswith('ptgraph.')])\n"
-                "print(loaded()); ptgraph.find_roots; print(loaded())")
+                "print(loaded()); ptgraph.find_roots; print(loaded())\n"
+                f"print(sorted({unwanted} & set(sys.modules)))")
         cp = run_python("-c", code)
         assert cp.returncode == 0, cp.stderr
-        before, after = cp.stdout.splitlines()
+        before, after, test_only = cp.stdout.splitlines()
         assert before == "(False, [])"
         library = ["ptgraph.errors", "ptgraph.graph", "ptgraph.boundary", "ptgraph.spectral",
                    "ptgraph.dynamics"]
         assert after == str((True, library))
+        assert test_only == "[]"
 
     def test_help(self):
         cp = launch("--help")

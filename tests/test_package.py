@@ -55,7 +55,7 @@ def test_star_import_binds_every_public_name():
     assert namespace["find_roots"] is pg.spectral.find_roots
 
 
-@pytest.mark.parametrize("name", ["no_such_name", "np", "annotations", "_private"])
+@pytest.mark.parametrize("name", ["no_such_name", "np", "annotations", "import_module", "_private"])
 def test_unknown_name_raises_attribute_error(name):
     with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
         getattr(pg, name)
