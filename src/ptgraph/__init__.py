@@ -38,8 +38,8 @@ _EXPORTS = {
         "UnknownFamily", "UnsortedGrid",
     ),
     "graph": (
-        "DEFAULT_RESOLUTION", "BondGrid", "MetricStarGraph", "bond_grid", "make_star_graph",
-        "quadrature", "simpson_weights",
+        "DEFAULT_RESOLUTION", "MetricStarGraph", "bond_grid", "make_star_graph", "quadrature",
+        "simpson_weights",
     ),
     "spectral": (
         "EigenMode", "SecularRoot", "SpectralBasis", "build_basis", "eigenmode", "find_roots",

@@ -350,25 +350,17 @@ def bc_residual(bc: BCMatrices, t: TraceVectors) -> float:
     return float(np.linalg.norm(bc.a @ t.psi + bc.b @ t.dpsi))
 
 
-def _outer_end_swap(n: int) -> np.ndarray:
-    """Permutation exchanging the two N-blocks of a trace vector."""
-    p = np.zeros((2 * n, 2 * n))
-    p[:n, n:] = np.eye(n)
-    p[n:, :n] = np.eye(n)
-    return p
-
-
 def check_ab_symmetry(bc: BCMatrices) -> float:
     """Frobenius norm of A B~^H - B~ A^H, the self-adjointness defect.
 
     The Hermitian compact-form condition is stated for derivative slots
     ordered (f'(0)..., -f'(L)...), i.e. derivatives pointing into each bond.
-    Our stored B acts on the layout with the blocks swapped, so B is mapped
-    to that ordering before the test. Zero means the pair defines a
-    self-adjoint vertex coupling; the PT families are intentionally nonzero
-    here (sqrt(2N) for the built-ins).
+    Our stored B acts on the layout with the blocks swapped, so the two
+    N-column blocks of B are swapped (B S) before the test. Zero means the
+    pair defines a self-adjoint vertex coupling; the PT families are
+    intentionally nonzero here (sqrt(2N) for the built-ins).
     """
-    b_inward = bc.b @ _outer_end_swap(bc.n_bonds)
+    b_inward = np.roll(bc.b, bc.n_bonds, axis=1)
     defect = bc.a @ b_inward.conj().T - b_inward @ bc.a.conj().T
     return float(np.linalg.norm(defect))
 
@@ -408,8 +400,8 @@ def l2_inner(f: BondFunction, g: BondFunction, resolution: int = DEFAULT_RESOLUT
     total = 0j
     for j in range(1, graph.n_bonds + 1):
         grid = bond_grid(graph, j, resolution)
-        fv = _sample(f, j, grid.points)
-        gv = fv if g is f else _sample(g, j, grid.points)
+        fv = _sample(f, j, grid)
+        gv = fv if g is f else _sample(g, j, grid)
         total += quadrature(fv * np.conj(gv), grid)
     return total
 
@@ -425,8 +417,8 @@ def pt_inner(f: BondFunction, g: BondFunction, resolution: int = DEFAULT_RESOLUT
     for j in range(1, graph.n_bonds + 1):
         grid = bond_grid(graph, j, resolution)
         lj = graph.length(j)
-        f_refl = _sample(f, j, lj - grid.points)
-        gv = _sample(g, j, grid.points)
+        f_refl = _sample(f, j, lj - grid)
+        gv = _sample(g, j, grid)
         total += quadrature(np.conj(f_refl) * gv, grid)
     return total
 
@@ -510,13 +502,9 @@ def omega_pt_symplectic(tf: TraceVectors, tg: TraceVectors) -> complex:
     vectors of f and G, G' those of g. Serves as the second route for the
     boundary-term formula in omega_pt.
     """
-    m = 2 * _check_same_graph(tf, tg).n_bonds
-    j_blk = np.zeros((2 * m, 2 * m))
-    j_blk[:m, m:] = np.eye(m)
-    j_blk[m:, :m] = -np.eye(m)
-    row = np.concatenate([tg.psi, tg.dpsi])
-    col = np.concatenate([np.conj(tf.psi), np.conj(tf.dpsi)])
-    return complex(row @ j_blk @ col)
+    _check_same_graph(tf, tg)
+    row = np.concatenate([-tg.dpsi, tg.psi])  # (G^T, G'^T) times the block matrix
+    return complex(row @ np.conj(np.concatenate([tf.psi, tf.dpsi])))
 
 
 def omega_direct(
@@ -537,11 +525,10 @@ def omega_direct(
     total = 0j
     for j in range(1, graph.n_bonds + 1):
         grid = bond_grid(graph, j, resolution)
-        pts = grid.points
-        fv = _sample(f, j, pts)
-        gv = _sample(g, j, pts)
-        hf = -_sample(f, j, pts, order=2)
-        hg = -_sample(g, j, pts, order=2)
+        fv = _sample(f, j, grid)
+        gv = _sample(g, j, grid)
+        hf = -_sample(f, j, grid, order=2)
+        hg = -_sample(g, j, grid, order=2)
         if product == HERMITIAN:
             total += quadrature(hf * np.conj(gv) - fv * np.conj(hg), grid)
         else:

@@ -227,10 +227,8 @@ def _parse_coeffs(raw: str, n_modes: int) -> np.ndarray:
             raise UsageError(
                 "--coeffs", f"equal:{count} requested but only {n_modes} regular modes available"
             )
-        c = np.zeros(n_modes, dtype=complex)
-        c[:count] = 1.0 / math.sqrt(count)
-        return c
-    if raw.startswith("list:"):
+        vals = [1.0 / math.sqrt(count)] * count
+    elif raw.startswith("list:"):
         toks = [t for t in raw[len("list:"):].split(",") if t.strip() != ""]
         if not toks:
             raise UsageError("--coeffs", "list:<c1,c2,...> needs at least one value")
@@ -244,10 +242,11 @@ def _parse_coeffs(raw: str, n_modes: int) -> np.ndarray:
             raise UsageError(
                 "--coeffs", f"{len(vals)} coefficients given but only {n_modes} modes available"
             )
-        c = np.zeros(n_modes, dtype=complex)
-        c[: len(vals)] = vals
-        return c
-    raise UsageError("--coeffs", f"expected equal:<K> or list:<c1,c2,...>, got {raw!r}")
+    else:
+        raise UsageError("--coeffs", f"expected equal:<K> or list:<c1,c2,...>, got {raw!r}")
+    c = np.zeros(n_modes, dtype=complex)
+    c[: len(vals)] = vals
+    return c
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
@@ -408,7 +407,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # internal error
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

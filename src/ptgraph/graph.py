@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,43 +67,31 @@ def make_star_graph(lengths) -> MetricStarGraph:
     return MetricStarGraph(tuple(map(float, lengths)))
 
 
-@dataclass(frozen=True)
-class BondGrid:
-    """Uniform sample grid on one bond, endpoints included, odd point count."""
-
-    bond_index: int
-    points: np.ndarray = field(repr=False)
-    count: int
-
-    @property
-    def spacing(self) -> float:
-        return float(self.points[1] - self.points[0])
-
-
 def _check_point_count(count: int):
     """Raise EvenPointCount unless Simpson quadrature can use `count` points."""
     if not isinstance(count, (int, np.integer)) or count < 3 or count % 2 == 0:
         raise EvenPointCount(f"Simpson quadrature needs an odd integer point count >= 3, got {count!r}")
 
 
-def bond_grid(graph: MetricStarGraph, bond: int, count: int = DEFAULT_RESOLUTION) -> BondGrid:
-    """Uniform grid of `count` points on [0, L_bond]; count must be odd >= 3."""
+def bond_grid(graph: MetricStarGraph, bond: int, count: int = DEFAULT_RESOLUTION) -> np.ndarray:
+    """Read-only array of `count` uniform points on [0, L_bond], endpoints
+    included; count must be odd >= 3."""
     _check_point_count(count)
     pts = np.linspace(0.0, graph.length(bond), count)
     pts.setflags(write=False)
-    return BondGrid(bond_index=bond, points=pts, count=count)
+    return pts
 
 
-def quadrature(values, grid: BondGrid) -> complex:
-    """Composite Simpson integral of sampled values over the grid interval.
+def quadrature(values, grid: np.ndarray) -> complex:
+    """Composite Simpson integral of values sampled on a bond_grid array.
 
     Exact for polynomials of degree <= 3 on each two-interval panel.
     """
     vals = np.asarray(values, dtype=complex)
-    if vals.shape != (grid.count,):
-        raise LengthMismatch(f"expected {grid.count} samples, got shape {vals.shape}")
-    _check_point_count(grid.count)
-    h = grid.spacing
+    if vals.shape != (grid.size,):
+        raise LengthMismatch(f"expected {grid.size} samples, got shape {vals.shape}")
+    _check_point_count(grid.size)
+    h = grid[1] - grid[0]
     acc = vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-1:2].sum()
     return complex(acc * h / 3.0)
 

@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 
 import ptgraph as pg
-from util import GOLDEN_ABSYM_PT, fd_second_derivative, graph_kernel_cpt, random_trig
+from perfbench import cli_pool
+from ptgraph import cli
+from util import (
+    GOLDEN_ABSYM_PT,
+    ab_symmetry_reference,
+    fd_second_derivative,
+    graph_kernel_cpt,
+    random_trig,
+    symplectic_reference,
+)
 
 
 def rebuilt(f):
@@ -570,6 +579,59 @@ class TestOmegaForms:
             pg.omega_direct(z, z, "euclidean")
 
 
+def signed_zeros(rng, shape, p_zero):
+    """Random complex entries whose real and imaginary parts are each, with
+    probability p_zero, replaced by 0.0 or -0.0."""
+    parts = rng.normal(size=(2, *shape))
+    zeros = rng.choice(np.array([0.0, -0.0]), size=parts.shape)
+    parts = np.where(rng.random(parts.shape) < p_zero, zeros, parts)
+    z = np.empty(shape, dtype=complex)
+    z.real, z.imag = parts
+    return z
+
+
+class TestIndexFormsEqualDenseForms:
+    """check_ab_symmetry swaps B's column blocks and omega_pt_symplectic applies
+    J by index; both equal the dense S and J products of tests/util.py bit for
+    bit, signed zeros included."""
+
+    P_ZERO = (0.0, 0.3, 0.9, 1.0)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_ab_symmetry_on_builtin_and_random_pairs(self, n):
+        rng = np.random.default_rng(n)
+        graph = pg.make_star_graph(np.linspace(1.0, 2.0, n))
+        pairs = [pg.bc_matrices(fam, graph) for fam in pg.BUILTIN_FAMILIES]
+        pairs += [pg.BCMatrices(a=signed_zeros(rng, (2 * n, 2 * n), p),
+                                b=signed_zeros(rng, (2 * n, 2 * n), q), family=pg.CUSTOM)
+                  for p in self.P_ZERO for q in self.P_ZERO for _ in range(3)]
+        for bc in pairs:
+            assert bits(pg.check_ab_symmetry(bc)) == bits(ab_symmetry_reference(bc))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_symplectic_on_random_tables(self, n):
+        rng = np.random.default_rng(100 + n)
+        graph = pg.make_star_graph(np.linspace(1.0, 2.0, n))
+        tables = [pg.TraceVectors(graph, signed_zeros(rng, (n, 4), p))
+                  for p in self.P_ZERO for _ in range(4)]
+        for tf in tables:
+            for tg in tables:
+                assert bits(pg.omega_pt_symplectic(tf, tg)) == bits(symplectic_reference(tf, tg))
+
+    @pytest.mark.parametrize("cid", ["verify-dirichlet", "verify-four", "verify-neumann"])
+    def test_symplectic_on_verify_mode_traces(self, cid):
+        args = cli.build_parser().parse_args(cli_pool.CONFIGS[cid].split())
+        assert args.family in (pg.PT_DIRICHLET, pg.PT_NEUMANN)
+        graph = pg.make_star_graph([float(t) for t in args.lengths.split(",")])
+        basis = pg.build_basis(graph, args.family, args.kmax, k_min=args.tol,
+                               resolution=args.resolution)
+        traces = [pg.trace_vectors(m) for m in basis.modes]
+        assert len(traces) >= 5
+        for tf in traces:
+            for tg in traces:
+                assert bits(pg.omega_pt_symplectic(tf, tg)) == bits(symplectic_reference(tf, tg))
+
+
 class TestCPTInner:
     def test_zero_functions(self, basis_inc_d, graph_inc):
         z = pg.zero_function(graph_inc)
@@ -603,8 +665,8 @@ class TestCPTInner:
         total = 0j
         for bond in range(1, graph_inc.n_bonds + 1):
             grid = pg.bond_grid(graph_inc, bond, n_pts)
-            w = pg.simpson_weights(grid.count, grid.spacing)
-            xs = grid.points
+            w = pg.simpson_weights(grid.size, grid[1] - grid[0])
+            xs = grid
             lj = graph_inc.length(bond)
             kernel = np.zeros((n_pts, n_pts), dtype=complex)
             for wn, m in zip(weights, mode_funcs):

@@ -5,7 +5,6 @@ import math
 import os
 import stat
 import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,11 +15,7 @@ from hypothesis import strategies as st
 import ptgraph as pg
 from perfbench import cli_pool
 from ptgraph import cli, spectral
-from util import GOLDEN_K1
-
-#: seconds any child process may take, so a hang fails its test and does not stall
-#: the suite; the slowest child here takes about 1 s
-PROCESS_TIMEOUT = 10
+from util import GOLDEN_K1, run_python
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -33,13 +28,6 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
         except SystemExit as exc:
             code = exc.code
     return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
-
-
-def run_python(*args: str) -> subprocess.CompletedProcess:
-    """`python *args` in a child process that imports the ptgraph under test."""
-    env = dict(os.environ, PYTHONPATH=str(Path(pg.__file__).resolve().parents[1]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
-                          timeout=PROCESS_TIMEOUT)
 
 
 def launch(*args: str) -> subprocess.CompletedProcess:
@@ -681,6 +669,22 @@ class TestEntryPoints:
                    "ptgraph.dynamics"]
         assert after == str((True, library))
         assert test_only == "[]"
+
+    def test_main_loads_numpy_before_argparse(self):
+        # the subject is the load order of `python -m ptgraph`: the library, and
+        # numpy with it, before cli.py and argparse keeps the peak RSS of the
+        # process down; numpy imports no argparse, so it has finished loading
+        code = ("import runpy, sys\n"
+                "sys.argv = ['ptgraph']\n"
+                "try:\n"
+                "    runpy.run_module('ptgraph', run_name='__main__', alter_sys=True)\n"
+                "except SystemExit as exc:\n"
+                "    assert exc.code == 2, exc.code\n"
+                "names = list(sys.modules)\n"
+                "print(names.index('numpy') < names.index('argparse'))")
+        cp = run_python("-c", code)
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout.strip() == "True"
 
     def test_help(self):
         cp = launch("--help")

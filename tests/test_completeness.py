@@ -6,8 +6,6 @@ library's root-finding internals.
 """
 import math
 import re
-import subprocess
-import sys
 import warnings
 
 import mpmath
@@ -17,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ptgraph as pg
-from util import REPRO_COUNTS_40, dense_scan_roots, dense_secular
+from util import REPRO_COUNTS_40, dense_scan_roots, dense_secular, run_python
 
 
 def family_of(kirchhoff):
@@ -116,7 +114,7 @@ def test_inseparable_roots_raise(lengths, k_min, k_max, k_stuck):
     # in a subprocess with a timeout, so that a root finder that never
     # returns fails this test instead of hanging the suite
     code = f"import ptgraph as pg; pg.find_roots(pg.make_star_graph({list(lengths)}), {k_min}, {k_max})"
-    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=10)
+    cp = run_python("-c", code)
     last = cp.stderr.strip().splitlines()[-1]
     assert last.startswith("ptgraph.errors.EvaluationFailure")
     assert float(re.search(r"near k = (\S+)", last).group(1)) == pytest.approx(k_stuck, abs=1e-6)

@@ -70,9 +70,9 @@ class TestMakeStarGraph:
 class TestBondGrid:
     def test_uniform_with_endpoints(self, graph123):
         grid = pg.bond_grid(graph123, 3, 11)
-        assert grid.points[0] == 0.0
-        assert grid.points[-1] == 2.0
-        assert np.allclose(np.diff(grid.points), grid.spacing)
+        assert grid[0] == 0.0
+        assert grid[-1] == 2.0
+        assert np.allclose(np.diff(grid), grid[1] - grid[0])
 
     @pytest.mark.parametrize("count", [2, 4, 100, 1, 0, 5.0, 4.5, "5", None])
     def test_bad_counts_rejected(self, graph123, count):
@@ -83,7 +83,7 @@ class TestBondGrid:
 
     def test_numpy_integer_counts_accepted(self, graph123):
         for count in (np.int64(5), np.int32(5), np.uint16(5)):
-            assert np.array_equal(pg.bond_grid(graph123, 1, count).points, np.linspace(0.0, 1.0, 5))
+            assert np.array_equal(pg.bond_grid(graph123, 1, count), np.linspace(0.0, 1.0, 5))
             assert pg.simpson_weights(count, 0.25).shape == (5,)
 
 
@@ -114,9 +114,9 @@ class TestGridSlices:
         assert all(x.size == w.size <= (width or count) for x, w in parts)
         points = np.concatenate([x for x, _ in parts])
         weights = np.concatenate([w for _, w in parts])
-        assert points.tobytes() == grid.points.tobytes()
-        assert weights.tobytes() == pg.simpson_weights(grid.count, grid.spacing).tobytes()
-        assert weights.tobytes() == literal_simpson_weights(grid.count, grid.spacing).tobytes()
+        assert points.tobytes() == grid.tobytes()
+        assert weights.tobytes() == pg.simpson_weights(grid.size, grid[1] - grid[0]).tobytes()
+        assert weights.tobytes() == literal_simpson_weights(grid.size, grid[1] - grid[0]).tobytes()
 
     def test_budget_bounds_each_block(self, graph123):
         # at 7 rows a budget of 50 elements leaves 7 points per slice
@@ -136,23 +136,23 @@ class TestQuadrature:
 
     def test_exact_on_quadratic(self, graph123):
         grid = pg.bond_grid(graph123, 1, 3)
-        vals = grid.points**2
+        vals = grid**2
         assert pg.quadrature(vals, grid) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_exact_on_cubic(self, graph123):
         grid = pg.bond_grid(graph123, 1, 5)
-        vals = grid.points**3
+        vals = grid**3
         assert pg.quadrature(vals, grid) == pytest.approx(0.25, abs=1e-15)
 
     def test_sin_squared(self, graph123):
         # int_0^1 sin^2(pi x) dx = 1/2 exactly
         grid = pg.bond_grid(graph123, 1, 201)
-        vals = np.sin(np.pi * grid.points) ** 2
+        vals = np.sin(np.pi * grid) ** 2
         assert pg.quadrature(vals, grid) == pytest.approx(0.5, abs=1e-10)
 
     def test_complex_values(self, graph123):
         grid = pg.bond_grid(graph123, 1, 201)
-        vals = np.exp(1j * grid.points)
+        vals = np.exp(1j * grid)
         exact = (np.exp(1j) - 1.0) / 1j
         assert abs(pg.quadrature(vals, grid) - exact) < 1e-10
 
@@ -167,13 +167,13 @@ class TestQuadrature:
         errs = []
         for count in (17, 33, 65):
             grid = pg.bond_grid(graph123, 3, count)
-            q = pg.quadrature(np.sin(3.0 * grid.points), grid)
+            q = pg.quadrature(np.sin(3.0 * grid), grid)
             errs.append(abs(q.real - exact))
         assert errs[0] / errs[1] >= 8.0
         assert errs[1] / errs[2] >= 8.0
 
     def test_weights_match_quadrature(self, graph123):
         grid = pg.bond_grid(graph123, 2, 41)
-        w = pg.simpson_weights(grid.count, grid.spacing)
-        vals = np.cos(grid.points) + 1j * grid.points
+        w = pg.simpson_weights(grid.size, grid[1] - grid[0])
+        vals = np.cos(grid) + 1j * grid
         assert complex(w @ vals) == pytest.approx(pg.quadrature(vals, grid), abs=1e-14)

@@ -4,12 +4,20 @@ The golden numbers were fixed by an independent oracle (scipy brentq on the
 directly-typed three-bond product form, scipy simpson for integrals) before
 the library was built.
 """
+import os
+import subprocess
+import sys
 from functools import reduce
 from operator import add, mul
+from pathlib import Path
 
 import numpy as np
 
 import ptgraph as pg
+
+#: seconds any child process may take, so a hang fails its test and does not stall
+#: the suite; the slowest child here takes about 1 s
+PROCESS_TIMEOUT = 10
 
 # first root of the PT secular function for lengths (1, 1.5, 2)
 GOLDEN_K1 = 1.74112242151518
@@ -51,6 +59,13 @@ GOLDEN_ABSYM_PT = np.sqrt(6.0)
 # max |J(0,t)| of the equal-weight 5-mode state, t in [0,1] x 1000
 GOLDEN_MAX_CURRENT_D = 3.4345550671
 GOLDEN_MAX_CURRENT_N = 4.0187098727
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """`python *args` in a child process that imports the ptgraph under test."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pg.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=PROCESS_TIMEOUT)
 
 
 def random_trig(graph, rng, n_terms=3, complex_amps=True):
@@ -191,3 +206,29 @@ def graph_kernel_cpt(basis, resolution):
         return complex(np.sum(a * b / p))
 
     return form
+
+
+def outer_end_swap(n):
+    """Dense 2N x 2N permutation S exchanging the two N-blocks of a trace vector."""
+    p = np.zeros((2 * n, 2 * n))
+    p[:n, n:] = np.eye(n)
+    p[n:, :n] = np.eye(n)
+    return p
+
+
+def ab_symmetry_reference(bc):
+    """Frobenius norm of A (B S)^H - (B S) A^H, with B S a dense matrix product."""
+    b_inward = bc.b @ outer_end_swap(bc.n_bonds)
+    defect = bc.a @ b_inward.conj().T - b_inward @ bc.a.conj().T
+    return float(np.linalg.norm(defect))
+
+
+def symplectic_reference(tf, tg):
+    """(G^T, G'^T) J (conj(F), conj(F'))^T with the dense 4N x 4N J = [[0, I], [-I, 0]]."""
+    m = 2 * tf.n_bonds
+    j_blk = np.zeros((2 * m, 2 * m))
+    j_blk[:m, m:] = np.eye(m)
+    j_blk[m:, :m] = -np.eye(m)
+    row = np.concatenate([tg.psi, tg.dpsi])
+    col = np.concatenate([np.conj(tf.psi), np.conj(tf.dpsi)])
+    return complex(row @ j_blk @ col)
