@@ -394,33 +394,31 @@ def _check_same_graph(f, g) -> MetricStarGraph:
     return f.graph
 
 
-def l2_inner(f: BondFunction, g: BondFunction, resolution: int = DEFAULT_RESOLUTION) -> complex:
-    """Hermitian inner product sum_j int f_j(x) conj(g_j(x)) dx."""
+def _paired_samples(f: BondFunction, g: BondFunction, resolution: int):
+    """(bond, grid, f samples, g samples) on each bond_grid of the graph of f
+    and g; g is not sampled again when it is f."""
     graph = _check_same_graph(f, g)
-    total = 0j
     for j in range(1, graph.n_bonds + 1):
         grid = bond_grid(graph, j, resolution)
         fv = _sample(f, j, grid)
-        gv = fv if g is f else _sample(g, j, grid)
-        total += quadrature(fv * np.conj(gv), grid)
-    return total
+        yield j, grid, fv, fv if g is f else _sample(g, j, grid)
+
+
+def l2_inner(f: BondFunction, g: BondFunction, resolution: int = DEFAULT_RESOLUTION) -> complex:
+    """Hermitian inner product sum_j int f_j(x) conj(g_j(x)) dx."""
+    return sum((quadrature(fv * np.conj(gv), grid)
+                for _, grid, fv, gv in _paired_samples(f, g, resolution)), 0j)
 
 
 def pt_inner(f: BondFunction, g: BondFunction, resolution: int = DEFAULT_RESOLUTION) -> complex:
     """Inner product with the first argument reflected and conjugated.
 
     sum_j int conj(f_j(L_j - x)) g_j(x) dx: bond-wise parity composed with
-    complex conjugation acts on f before integration.
+    complex conjugation acts on f before integration. The parity is the
+    reversal of f's samples: the grid and the Simpson weights are symmetric.
     """
-    graph = _check_same_graph(f, g)
-    total = 0j
-    for j in range(1, graph.n_bonds + 1):
-        grid = bond_grid(graph, j, resolution)
-        lj = graph.length(j)
-        f_refl = _sample(f, j, lj - grid)
-        gv = _sample(g, j, grid)
-        total += quadrature(np.conj(f_refl) * gv, grid)
-    return total
+    return sum((quadrature(np.conj(fv[::-1]) * gv, grid)
+                for _, grid, fv, gv in _paired_samples(f, g, resolution)), 0j)
 
 
 def cpt_inner(
@@ -439,10 +437,11 @@ def cpt_inner(
     with unscaled modes the sign of that self-product leaks through. The mode
     sum is truncated at `truncation` and the result depends on it. `basis`
     is a SpectralBasis on the graph of f and g.
-    The grid is not sliced, since the reflected self-product pairs each point
-    with its mirror L - x: one (truncation x points) matrix is held per bond.
+    The grid is not sliced, since the reflection pairs each sample with its
+    mirror at L - x, the reversed sample: one (truncation x points) matrix is
+    held per bond.
     """
-    graph = _check_same_graph(f, g)
+    _check_same_graph(f, g)
     _check_same_graph(f, basis)
     if isinstance(truncation, bool) or not isinstance(truncation, (int, np.integer)) or truncation < 1:
         raise InsufficientBasis(f"truncation must be an integer >= 1, got {truncation!r}")
@@ -453,10 +452,10 @@ def cpt_inner(
     kernel = replace(basis, modes=basis.modes[:truncation])
     self_products, products = 0.0, 0j
     for j, x, w, phi in _bond_samples(kernel, resolution):
-        # reflected self-product: the reversed grid is L - x to rounding, not bit for bit
         self_products += np.einsum("nr,nr,r->n", phi, phi[:, ::-1], w)
-        a = _real_matvec(phi, w * np.conj(_sample(f, j, graph.length(j) - x)))
-        b = _real_matvec(phi, w * _sample(g, j, x))
+        fv = _sample(f, j, x)
+        a = _real_matvec(phi, w * np.conj(fv[::-1]))
+        b = _real_matvec(phi, w * (fv if g is f else _sample(g, j, x)))
         products += a * b
         del phi  # else it stays alive while the generator builds the next bond's matrix
     return complex(np.sum(products / self_products))
@@ -517,21 +516,16 @@ def omega_direct(
 
     The independent oracle for the boundary-term formulas: H = -d^2/dx^2 is
     applied through the exact second derivatives of f and g on the
-    quadrature grid.
+    quadrature grid. The PT product reflects f as pt_inner does.
     """
-    graph = _check_same_graph(f, g)
     if product not in (HERMITIAN, PT):
         raise UnknownFamily(f"unknown product tag {product!r}")
     total = 0j
-    for j in range(1, graph.n_bonds + 1):
-        grid = bond_grid(graph, j, resolution)
-        fv = _sample(f, j, grid)
-        gv = _sample(g, j, grid)
+    for j, grid, fv, gv in _paired_samples(f, g, resolution):
         hf = -_sample(f, j, grid, order=2)
         hg = -_sample(g, j, grid, order=2)
         if product == HERMITIAN:
             total += quadrature(hf * np.conj(gv) - fv * np.conj(hg), grid)
         else:
-            # reflected first argument: the reversed grid is L - x to rounding, not bit for bit
             total += quadrature(np.conj(hf[::-1]) * gv - np.conj(fv[::-1]) * hg, grid)
     return total

@@ -15,6 +15,7 @@ from basis construction and reported separately.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -102,9 +103,19 @@ def _pole_lattice(lengths: np.ndarray, lo: float, hi: float):
 
     Returns the nodes, how many bonds vanish at each node (0 at lo and hi)
     and, per interval between neighbouring nodes, the parity p[i, j] with
-    sign sin(k L_j) = (-1)**p[i, j] inside interval i.
+    sign sin(k L_j) = (-1)**p[i, j] inside interval i. A lattice too large to
+    allocate raises InvalidWindow, before any allocation if numpy cannot index it.
     """
-    ks = np.concatenate([np.arange(1, hi * l // math.pi + 2) * math.pi / l for l in lengths])
+    size = sum(hi * l / math.pi for l in lengths.tolist())  # the sine zeros, to rounding
+    refused = InvalidWindow(
+        f"the pole lattice of [{lo}, {hi}] has {size:.4g} nodes, more than can be allocated"
+    )
+    if not size < sys.maxsize // np.dtype(float).itemsize:
+        raise refused
+    try:
+        ks = np.concatenate([np.arange(1, hi * l // math.pi + 2) * math.pi / l for l in lengths])
+    except MemoryError:
+        raise refused from None
     ks = np.sort(ks[(ks > lo) & (ks <= hi)])
     first = np.ones(ks.size, dtype=bool)
     first[1:] = np.diff(ks) > POLE_MERGE_REL * ks[1:]
@@ -216,7 +227,9 @@ def find_roots(
 
     The window needs finite 0 <= k_min < k_max, else InvalidWindow. A k_min of
     0 starts it at DEFAULT_ROOT_TOL, which excludes k = 0; a positive k_min is
-    used as given. Only the real axis is searched: the off-axis conjugate
+    used as given. A window whose pole lattice is too large to allocate (about
+    k_max sum_j L_j / pi nodes) raises InvalidWindow too, naming its node count.
+    Only the real axis is searched: the off-axis conjugate
     pairs of roots that the PT families have on generic graphs are not reported.
 
     Works on the pole lattice, the merged sine zeros n pi / L_j. A zero that

@@ -715,6 +715,66 @@ class TestCPTInner:
             pg.cpt_inner(f, f, basis_inc_d, truncation=3, resolution=2001.0)
 
 
+def recorded(f, calls):
+    """f rebuilt from per-bond callables that log (bond, order, x) at every read."""
+    def reader(j, order):
+        def read(x):
+            calls.append((j, order, np.array(x, dtype=float)))
+            return f.evaluate(j, x, order)
+        return read
+    bonds = range(1, f.graph.n_bonds + 1)
+    return pg.bond_function(f.graph, *([reader(j, order) for j in bonds] for order in (0, 1, 2)))
+
+
+class TestReflectionIsSampleReversal:
+    """pt_inner, cpt_inner and omega_direct read every function on the bond grid
+    only: the parity x -> L_j - x is the reversal of the samples, exact on the
+    symmetric grid and Simpson weights."""
+
+    RES = 201
+    FORMS = {
+        "pt_inner": lambda f, g, basis, res: pg.pt_inner(f, g, res),
+        "cpt_inner": lambda f, g, basis, res: pg.cpt_inner(f, g, basis, 5, res),
+        "omega_direct_pt": lambda f, g, basis, res: pg.omega_direct(f, g, pg.PT, res),
+        "omega_direct_hermitian": lambda f, g, basis, res: pg.omega_direct(f, g, pg.HERMITIAN, res),
+    }
+
+    @pytest.fixture
+    def pair(self, graph_inc):
+        rng = np.random.default_rng(26)
+        return random_trig(graph_inc, rng), random_trig(graph_inc, rng)
+
+    @pytest.mark.parametrize("name", sorted(FORMS))
+    @pytest.mark.parametrize("same", [False, True], ids=["f_g", "f_f"])
+    def test_every_read_is_a_slice_of_the_bond_grid(self, name, same, pair, basis_inc_d, graph_inc):
+        calls = []
+        f = recorded(pair[0], calls)
+        g = f if same else recorded(pair[1], calls)
+        self.FORMS[name](f, g, basis_inc_d, self.RES)
+        assert calls
+        for j, _, x in calls:
+            grid = pg.bond_grid(graph_inc, j, self.RES)
+            start = int(np.searchsorted(grid, x[0]))
+            assert grid[start:start + x.size].tobytes() == x.tobytes(), (name, j)
+
+    @pytest.mark.parametrize("name", ["pt_inner", "cpt_inner"])
+    def test_a_function_paired_with_itself_is_sampled_once_per_bond(self, name, pair, basis_inc_d,
+                                                                     graph_inc):
+        calls = []
+        f = recorded(pair[0], calls)
+        self.FORMS[name](f, f, basis_inc_d, self.RES)
+        assert sorted((j, order) for j, order, _ in calls) == [(j, 0) for j in (1, 2, 3)]
+
+    def test_pt_inner_matches_the_reflection_evaluated_off_the_grid(self, pair, graph_inc):
+        f, g = pair
+        want = sum(
+            pg.quadrature(np.conj(f.value(j, graph_inc.length(j) - grid)) * g.value(j, grid), grid)
+            for j, grid in ((j, pg.bond_grid(graph_inc, j, self.RES)) for j in (1, 2, 3))
+        )
+        got = pg.pt_inner(f, g, self.RES)
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
 class TestNonFiniteSamples:
     FORMS = {
         "l2_inner": lambda f, g, basis: pg.l2_inner(f, g),

@@ -106,6 +106,12 @@ class TestSpectrum:
         first_k = float(data_rows(b.read_text())[1].split(",")[1])
         assert abs(first_pt - first_k) > 0.1
 
+    def test_a_pole_lattice_too_large_to_allocate_is_a_typed_failure(self):
+        # 6.4e20 lattice nodes, refused before anything is allocated
+        cp = run_cli("spectrum", "--lengths", "1,1e20", "--kmax", "20")
+        assert cp.returncode == 1 and cp.stdout == ""
+        assert cp.stderr.startswith("error: InvalidWindow: the pole lattice of"), cp.stderr
+
     @pytest.mark.parametrize(
         "flag,args",
         [
@@ -685,6 +691,23 @@ class TestEntryPoints:
         cp = run_python("-c", code)
         assert cp.returncode == 0, cp.stderr
         assert cp.stdout.strip() == "True"
+
+    def test_importing_main_runs_nothing_and_loads_numpy_before_argparse(self):
+        # the subject is a fresh process: the console script imports
+        # ptgraph.__main__ and calls its main, so the import alone must not
+        # exit, and it loads the library before cli.py and argparse
+        code = ("import sys, ptgraph.__main__ as entry, ptgraph.cli\n"
+                "names = list(sys.modules)\n"
+                "print(entry.main is ptgraph.cli.main, names.index('numpy') < names.index('argparse'))")
+        cp = run_python("-c", code)
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout.strip() == "True True"
+
+    def test_console_script_enters_through_main_module(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+        with open(REPO / "pyproject.toml", "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"ptgraph": "ptgraph.__main__:main"}
 
     def test_help(self):
         cp = launch("--help")

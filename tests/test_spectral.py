@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import time
 import tracemalloc
 
@@ -151,6 +152,16 @@ class TestFindRoots:
         for k_min, k_max in bad:
             with pytest.raises(pg.InvalidWindow):
                 pg.find_roots(graph123, k_min, k_max)
+
+    # only lattices far beyond any memory: 6.4e20 nodes, more than numpy can index,
+    # and 6.4e13 nodes (463 TiB), whose allocation fails at once
+    @pytest.mark.parametrize("long_bond,nodes", [(1e20, "6.366e+20"), (1e13, "6.366e+13")])
+    @pytest.mark.parametrize("family", [pg.PT_DIRICHLET, pg.KIRCHHOFF_REF])
+    def test_a_pole_lattice_too_large_to_allocate_is_a_typed_refusal(self, long_bond, nodes,
+                                                                      family):
+        graph = pg.make_star_graph([1.0, long_bond])
+        with pytest.raises(pg.InvalidWindow, match=f"has {re.escape(nodes)} nodes"):
+            pg.find_roots(graph, 0.0, 20.0, family)
 
     @pytest.mark.parametrize("family", [pg.PT_DIRICHLET, pg.KIRCHHOFF_REF])
     def test_zero_k_min_starts_the_window_at_the_default_cut_off(self, graph123, family):

@@ -4,6 +4,7 @@ The golden numbers were fixed by an independent oracle (scipy brentq on the
 directly-typed three-bond product form, scipy simpson for integrals) before
 the library was built.
 """
+import math
 import os
 import subprocess
 import sys
@@ -173,6 +174,66 @@ def dense_scan_roots(lengths, k_max, step=1e-6, zero_tol=1e-12, chunk=4_000_000,
         if not any(abs(center - s) < 10 * step for s in sign_roots):
             even_roots.append(center)
     return sorted(sign_roots), sorted(even_roots)
+
+
+def chebyshev(n):
+    """Chebyshev points t_i = cos(pi i / n), i = 0..n, and the differentiation
+    matrix on them (Trefethen, Spectral Methods in MATLAB, SIAM 2000, ch. 6)."""
+    t = np.cos(np.pi * np.arange(n + 1) / n)
+    c = np.where((np.arange(n + 1) % n) == 0, 2.0, 1.0) * (-1.0) ** np.arange(n + 1)
+    d = np.outer(c, 1.0 / c) / (t[:, None] - t[None, :] + np.eye(n + 1))
+    return t, d - np.diag(d.sum(axis=1))
+
+
+def collocation_pencil(lengths, a, b, points):
+    """The (operator, mass) pair of -d^2/dx^2 on the star graph by Chebyshev
+    collocation with points[j] + 1 nodes on bond j (x = L_j (1 - t) / 2, so
+    node 0 is the vertex). The two endpoint rows of each bond are replaced by
+    the 2N rows of A psi + B dpsi = 0 in the trace layout, with mass rows zero."""
+    n_bonds = len(lengths)
+    offsets = np.concatenate([[0], np.cumsum([n + 1 for n in points])])
+    size = offsets[-1]
+    real = not (np.imag(a).any() or np.imag(b).any())  # real arithmetic is about 4x faster
+    op = np.zeros((size, size), dtype=float if real else complex)
+    mass = np.zeros((size, size))
+    psi, dpsi = np.zeros((2, 2 * n_bonds, size))
+    ends = []
+    for j, (length, n) in enumerate(zip(lengths, points)):
+        dx = (-2.0 / length) * chebyshev(n)[1]
+        first, last = offsets[j], offsets[j + 1] - 1
+        inner = np.arange(first + 1, last)
+        op[inner, first:last + 1] = -(dx @ dx)[1:-1]
+        mass[inner, inner] = 1.0
+        psi[j, first] = psi[n_bonds + j, last] = 1.0
+        dpsi[j, first:last + 1] = -dx[-1]
+        dpsi[n_bonds + j, first:last + 1] = dx[0]
+        ends += [first, last]
+    rows = a @ psi + b @ dpsi
+    op[ends] = rows.real if real else rows
+    return op, mass
+
+
+def collocation_wavenumbers(lengths, a, b, k_max):
+    """Wavenumbers k (Re k >= 0) with |k| <= k_max and k^2 a finite generalised
+    eigenvalue of collocation_pencil, with multiplicity, sorted by real part.
+
+    Bond j gets n_j = ceil(0.7 k_max L_j) + 12 intervals. The pencil is solved
+    with n_j and with 2 n_j, and an eigenvalue at n_j is kept, as its value at
+    2 n_j, only if the nearest one at 2 n_j is within 1e-8 |k|."""
+    from scipy.linalg import eig
+
+    def solve(points):
+        lam = eig(*collocation_pencil(lengths, a, b, points), right=False)
+        return np.sqrt(lam[np.isfinite(lam)].astype(complex))
+
+    points = [math.ceil(0.7 * k_max * length) + 12 for length in lengths]
+    coarse, fine = solve(points), solve([2 * n for n in points])
+    kept = []
+    for k in coarse[np.abs(coarse) <= k_max]:
+        near = fine[np.argmin(np.abs(fine - k))]
+        if abs(near - k) <= 1e-8 * abs(k):
+            kept.append(near)
+    return np.array(sorted(kept, key=lambda k: (k.real, k.imag)), dtype=complex)
 
 
 def graph_kernel_cpt(basis, resolution):
