@@ -35,7 +35,7 @@ from .errors import (
     TooFewBonds,
     UnknownFamily,
 )
-from .graph import DEFAULT_RESOLUTION, MetricStarGraph, _grid_slices, bond_grid, quadrature
+from .graph import DEFAULT_RESOLUTION, MetricStarGraph, bond_grid, quadrature, simpson_weights
 
 # family tags (shared with the spectral module and the CLI)
 PT_DIRICHLET = "pt-dirichlet"
@@ -168,15 +168,6 @@ def _sample(f: BondFunction, bond: int, pts: np.ndarray, order: int = 0) -> np.n
     if not np.isfinite(out).all():
         raise EvaluationFailure(f"non-finite sample on bond {bond}")
     return out
-
-
-def _bond_samples(basis, resolution: int, budget: int | None = None):
-    """(bond, points, Simpson weights, basis profiles there (modes x points)) over
-    the bond grids of the basis graph: one slice per bond if budget is None
-    (cpt_inner), else slices of at most `budget` profile elements (project)."""
-    for j in range(1, basis.graph.n_bonds + 1):
-        for x, w in _grid_slices(basis.graph, j, resolution, len(basis.modes), budget):
-            yield j, x, w, basis.profiles(j, x)
 
 
 def _real_matvec(phi: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -451,13 +442,12 @@ def cpt_inner(
         )
     kernel = replace(basis, modes=basis.modes[:truncation])
     self_products, products = 0.0, 0j
-    for j, x, w, phi in _bond_samples(kernel, resolution):
+    for j, x, fv, gv in _paired_samples(f, g, resolution):
+        w = simpson_weights(x.size, x[1] - x[0])
+        phi = kernel.profiles(j, x)
         self_products += np.einsum("nr,nr,r->n", phi, phi[:, ::-1], w)
-        fv = _sample(f, j, x)
-        a = _real_matvec(phi, w * np.conj(fv[::-1]))
-        b = _real_matvec(phi, w * (fv if g is f else _sample(g, j, x)))
-        products += a * b
-        del phi  # else it stays alive while the generator builds the next bond's matrix
+        products += _real_matvec(phi, w * np.conj(fv[::-1])) * _real_matvec(phi, w * gv)
+        del phi  # else it stays alive while the next bond's matrix is built
     return complex(np.sum(products / self_products))
 
 

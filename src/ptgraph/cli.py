@@ -48,7 +48,7 @@ from .boundary import (
 )
 from .dynamics import WaveState, current_series
 from .errors import PTGraphError
-from .graph import DEFAULT_RESOLUTION, MetricStarGraph, make_star_graph
+from .graph import DEFAULT_RESOLUTION, MetricStarGraph, bond_grid, make_star_graph
 from .spectral import DEFAULT_ROOT_TOL, build_basis, find_roots
 
 DEFAULT_KMAX = 20.0
@@ -86,7 +86,7 @@ class RunConfig:
     @classmethod
     def from_args(cls, args, allowed_families) -> "RunConfig":
         try:
-            lengths = [float(tok) for tok in args.lengths.split(",") if tok.strip() != ""]
+            lengths = [float(tok) for tok in args.lengths.split(",")]
         except ValueError as exc:
             raise UsageError("--lengths", f"could not parse {args.lengths!r}: {exc}")
         try:
@@ -205,7 +205,7 @@ def cmd_modes(cfg: RunConfig) -> int:
         # grow with the artifact
         for n, mode in enumerate(basis.modes, start=1):
             for bond in range(1, cfg.graph.n_bonds + 1):
-                xs = np.linspace(0.0, cfg.graph.length(bond), a.resolution)
+                xs = bond_grid(cfg.graph, bond, a.resolution)
                 vals = np.asarray(mode.value(bond, xs), dtype=complex)
                 columns = (_column(c, a.precision) for c in (xs, vals.real, vals.imag))
                 for x, re, im in zip(*columns):
@@ -223,27 +223,18 @@ def _parse_coeffs(raw: str, n_modes: int) -> np.ndarray:
             raise UsageError("--coeffs", f"could not parse mode count in {raw!r}")
         if count < 1:
             raise UsageError("--coeffs", f"equal:<K> needs K >= 1, got {count}")
-        if count > n_modes:
-            raise UsageError(
-                "--coeffs", f"equal:{count} requested but only {n_modes} regular modes available"
-            )
         vals = [1.0 / math.sqrt(count)] * count
     elif raw.startswith("list:"):
-        toks = [t for t in raw[len("list:"):].split(",") if t.strip() != ""]
-        if not toks:
-            raise UsageError("--coeffs", "list:<c1,c2,...> needs at least one value")
         try:
-            vals = [complex(t) for t in toks]
+            vals = [complex(t) for t in raw[len("list:"):].split(",")]
         except ValueError as exc:
             raise UsageError("--coeffs", f"could not parse coefficient: {exc}")
         if not np.all(np.isfinite(vals)):
             raise UsageError("--coeffs", f"coefficients must be finite, got {raw!r}")
-        if len(vals) > n_modes:
-            raise UsageError(
-                "--coeffs", f"{len(vals)} coefficients given but only {n_modes} modes available"
-            )
     else:
         raise UsageError("--coeffs", f"expected equal:<K> or list:<c1,c2,...>, got {raw!r}")
+    if len(vals) > n_modes:
+        raise UsageError("--coeffs", f"{len(vals)} coefficients given but only {n_modes} modes available")
     c = np.zeros(n_modes, dtype=complex)
     c[: len(vals)] = vals
     return c

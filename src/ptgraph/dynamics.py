@@ -13,17 +13,16 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
 
-from .boundary import (
-    BondFunction, _bond_samples, _check_same_graph, _real_matvec, _sample, _weighted_sum
-)
+from .boundary import BondFunction, _check_same_graph, _real_matvec, _sample, _weighted_sum
 from .errors import (
     DimensionMismatch, EmptyBasis, NonFiniteInput, OutOfDomain, SingularGram, UnsortedGrid
 )
-from .graph import DEFAULT_RESOLUTION, _slices
+from .graph import DEFAULT_RESOLUTION, _grid_slices, _slices
 from .spectral import SpectralBasis
 
 #: projection refuses Gram systems beyond this condition number
@@ -96,8 +95,8 @@ def project(
 
     No orthogonality is assumed: coefficients come from G C = b with
     G_mn = <phi_m, phi_n> and b_m = <initial, phi_m>. Both quadrature passes
-    read the profiles from _bond_samples in slices of at most _SLICE (modes x
-    points) elements, so working memory does not grow with `resolution`. The
+    read the profiles over _grid_slices of at most _SLICE (modes x points)
+    elements, so working memory does not grow with `resolution`. The
     real symmetric G is factored once, G = V diag(lam) V^T, giving
     C = V (V^T b / lam) and the condition number lam_max / lam_min (inf if
     lam_min <= 0). The residual ||initial - sum C_n phi_n||_L2 is reported,
@@ -106,21 +105,26 @@ def project(
     if not basis.modes:
         raise EmptyBasis("cannot project onto a basis with no modes")
     _check_same_graph(initial, basis)
+    graph, width = basis.graph, len(basis.modes)
     gram, rhs = 0.0, 0j
-    for bond, x, w, phi in _bond_samples(basis, resolution, _SLICE):
-        phi *= np.sqrt(w)  # in place: phi @ phi.T is then this slice's Gram block
-        gram += phi @ phi.T
-        rhs += _real_matvec(phi, np.sqrt(w) * _sample(initial, bond, x))
-        del phi  # else it stays alive while the generator builds the next slice's matrix
+    for bond in range(1, graph.n_bonds + 1):
+        for x, w in _grid_slices(graph, bond, resolution, width, _SLICE):
+            phi = basis.profiles(bond, x)
+            phi *= np.sqrt(w)  # in place: phi @ phi.T is then this slice's Gram block
+            gram += phi @ phi.T
+            rhs += _real_matvec(phi, np.sqrt(w) * _sample(initial, bond, x))
+            del phi  # else it stays alive while the next slice's matrix is built
     lam, vec = np.linalg.eigh(gram)
     cond = float(lam[-1] / lam[0]) if lam[0] > 0 else float("inf")
     if cond > GRAM_COND_LIMIT:
         raise SingularGram(f"Gram condition number {cond:.3g} exceeds {GRAM_COND_LIMIT:g}")
     coeffs = _real_matvec(vec, _real_matvec(vec.T, rhs) / lam)
     err2 = 0.0
-    for bond, x, w, phi in _bond_samples(basis, resolution, _SLICE):
-        err2 += w @ np.abs(_sample(initial, bond, x) - _real_matvec(phi.T, coeffs)) ** 2
-        del phi
+    for bond in range(1, graph.n_bonds + 1):
+        for x, w in _grid_slices(graph, bond, resolution, width, _SLICE):
+            phi = basis.profiles(bond, x)
+            err2 += w @ np.abs(_sample(initial, bond, x) - _real_matvec(phi.T, coeffs)) ** 2
+            del phi
     return ProjectionResult(WaveState(basis, coeffs), residual=float(np.sqrt(err2)), gram_cond=cond)
 
 
@@ -130,10 +134,10 @@ def evolve(state: WaveState, t: float) -> WaveState:
 
 
 def bond_current(state: WaveState, bond: int, x: float) -> float:
-    """Probability current on one bond at position x in [0, L_bond] and the state's time."""
+    """Probability current on one bond at a real position x in [0, L_bond] and the state's time."""
     lj = state.graph.length(bond)
-    if not 0.0 <= x <= lj:
-        raise OutOfDomain(f"x = {x} outside [0, {lj}] on bond {bond}")
+    if not (isinstance(x, Real) and 0.0 <= x <= lj):
+        raise OutOfDomain(f"x = {x!r} is not a real number in [0, {lj}] on bond {bond}")
     psi = complex(state.value(bond, float(x)))
     dpsi = complex(state.deriv(bond, float(x)))
     return psi.real * dpsi.imag - psi.imag * dpsi.real

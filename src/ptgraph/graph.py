@@ -73,11 +73,18 @@ def _check_point_count(count: int):
         raise EvenPointCount(f"Simpson quadrature needs an odd integer point count >= 3, got {count!r}")
 
 
+def _grid_points(i: np.ndarray, count: int, length: float) -> np.ndarray:
+    """Points i of the count-point grid on [0, length]: i * h from 0 with
+    h = length / (count - 1), and the last point pinned to length, as
+    np.linspace places them bit for bit."""
+    return np.where(i < count - 1, i * (length / (count - 1)), length)
+
+
 def bond_grid(graph: MetricStarGraph, bond: int, count: int = DEFAULT_RESOLUTION) -> np.ndarray:
     """Read-only array of `count` uniform points on [0, L_bond], endpoints
     included; count must be odd >= 3."""
     _check_point_count(count)
-    pts = np.linspace(0.0, graph.length(bond), count)
+    pts = _grid_points(np.arange(count), count, graph.length(bond))
     pts.setflags(write=False)
     return pts
 
@@ -107,20 +114,18 @@ def _simpson_at(i: np.ndarray, count: int, spacing: float) -> np.ndarray:
     return np.where((i == 0) | (i == count - 1), 1.0, 2.0 + 2.0 * (i % 2)) * (spacing / 3.0)
 
 
-def _slices(n: int, width: int, budget: int | None):
-    """Consecutive slices covering range(n): one if budget is None, else each
-    of at most budget // width items (at least one)."""
-    step = max(1, n if budget is None else budget // max(1, width))
+def _slices(n: int, width: int, budget: int):
+    """Consecutive slices covering range(n), each of at most budget // width
+    items (at least one)."""
+    step = max(1, budget // max(1, width))
     return (slice(i, min(i + step, n)) for i in range(0, n, step))
 
 
-def _grid_slices(graph: MetricStarGraph, bond: int, count: int, width: int, budget: int | None):
+def _grid_slices(graph: MetricStarGraph, bond: int, count: int, width: int, budget: int):
     """The points of bond_grid(graph, bond, count) and their simpson_weights, as
-    (points, weights) over _slices(count, width, budget). Joined, they equal
-    both bit for bit: linspace steps from 0 by L / (count - 1) and pins L."""
+    (points, weights) over _slices(count, width, budget); joined, they equal both."""
     _check_point_count(count)
     length = graph.length(bond)
-    h = length / (count - 1)
     for s in _slices(count, width, budget):
         i = np.arange(s.start, s.stop)
-        yield np.where(i < count - 1, i * h, length), _simpson_at(i, count, h)
+        yield _grid_points(i, count, length), _simpson_at(i, count, length / (count - 1))

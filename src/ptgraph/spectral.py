@@ -26,6 +26,7 @@ from .errors import (
     DimensionMismatch,
     EvaluationFailure,
     InvalidWindow,
+    NonFiniteInput,
     NormalizationError,
     NotARoot,
 )
@@ -331,7 +332,7 @@ def eigenmode(
     k: float,
     family: str,
     graph: MetricStarGraph,
-    resolution: int | None = None,
+    resolution: int = DEFAULT_RESOLUTION,
 ) -> EigenMode:
     """Build the normalized eigenfunction at a non-degenerate secular root.
 
@@ -341,14 +342,16 @@ def eigenmode(
 
     (minus for the sine profile of pt-dirichlet and kirchhoff-ref, plus for
     the cosine profile of pt-neumann), and is cross-checked against the
-    quadrature L2 norm at `resolution` points per bond (default
-    DEFAULT_RESOLUTION); disagreement beyond NORM_CHECK_TOL raises
-    NormalizationError. The grid is raised where needed, never lowered, so
-    that k times its spacing stays at or below NORM_CHECK_K_SPACING. `k` must
-    be a root of the family's secular function, else NotARoot; a tag without
-    a row in the boundary table raises UnknownFamily.
+    quadrature L2 norm at `resolution` points per bond; disagreement beyond
+    NORM_CHECK_TOL raises NormalizationError. The grid is raised where needed,
+    never lowered, so that k times its spacing stays at or below
+    NORM_CHECK_K_SPACING. `k` must be a finite root of the family's secular
+    function, else NonFiniteInput or NotARoot; a tag without a row in the
+    boundary table raises UnknownFamily.
     """
     fam = _family(family)
+    if not math.isfinite(k):
+        raise NonFiniteInput(f"wavenumber k = {k!r} is not finite")
     resid = abs(float((secular_kirchhoff if fam.self_adjoint else secular)(k, graph)))
     if resid >= MODE_ROOT_TOL:
         raise NotARoot(f"|secular({k})| = {resid:g} >= {MODE_ROOT_TOL:g}")
@@ -364,10 +367,9 @@ def eigenmode(
     )
     norm_const = total ** -0.5
     mode = EigenMode(k=float(k), family=family, norm_const=norm_const, graph=graph)
-    if resolution is not None:
-        _check_point_count(resolution)
+    _check_point_count(resolution)
     need = math.ceil(k * max(graph.lengths) / NORM_CHECK_K_SPACING) + 1
-    resolution = max(resolution or DEFAULT_RESOLUTION, need) | 1
+    resolution = max(resolution, need) | 1
     n2 = l2_inner(mode, mode, resolution)
     if abs(n2 - 1.0) > NORM_CHECK_TOL:
         raise NormalizationError(
@@ -424,7 +426,7 @@ def build_basis(
     family: str,
     k_max: float,
     k_min: float = 0.0,
-    resolution: int | None = None,
+    resolution: int = DEFAULT_RESOLUTION,
 ) -> SpectralBasis:
     """Build eigenmodes at the regular roots that find_roots gives on (k_min, k_max];
     `resolution` is passed to the norm check of `eigenmode`."""

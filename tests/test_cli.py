@@ -121,6 +121,8 @@ class TestSpectrum:
             ("--precision", ["--lengths", "1,1.5,2", "--precision", "0"]),
             ("--family", ["--lengths", "1,1.5,2", "--family", "mystery"]),
             ("--lengths", ["--lengths", "1.0,abc"]),
+            ("--lengths", ["--lengths", "1,,2"]),
+            ("--lengths", ["--lengths", "1,2,"]),
         ],
     )
     def test_validation_names_the_flag(self, flag, args):
@@ -309,13 +311,14 @@ class TestEvolve:
         assert "--coeffs" in cp.stderr
 
     def test_too_many_modes_rejected(self):
-        cp = run_cli(
-            "evolve", "--lengths", "1,1.5,2", "--family", "pt-dirichlet",
-            "--kmax", "4", "--coeffs", "equal:50",
-        )
-        assert cp.returncode == 2
-        assert "--coeffs" in cp.stderr
-        assert cp.stdout == ""
+        for coeffs in ("equal:50", "list:" + ",".join(["1"] * 50)):
+            cp = run_cli(
+                "evolve", "--lengths", "1,1.5,2", "--family", "pt-dirichlet",
+                "--kmax", "4", "--coeffs", coeffs,
+            )
+            assert cp.returncode == 2
+            assert "--coeffs" in cp.stderr
+            assert cp.stdout == ""
 
     def test_explicit_coefficient_list(self, tmp_path: Path):
         out = tmp_path / "jl.csv"
@@ -336,6 +339,15 @@ class TestEvolve:
         out = tmp_path / "j.csv"
         cp = run_cli("evolve", "--lengths", "1,1.3,1.7", "--coeffs", raw, "--tsteps", "3",
                      "--out", str(out))
+        assert cp.returncode == 2
+        assert "--coeffs" in cp.stderr and cp.stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw", ["list:1,,0.5", "list:1,0.5,", "list:"])
+    def test_empty_coefficient_entry_is_a_usage_error(self, tmp_path: Path, raw):
+        # an empty entry is refused, not dropped: dropping it would move every later value
+        out = tmp_path / "j.csv"
+        cp = run_cli("evolve", "--lengths", "1,1.3,1.7", "--coeffs", raw, "--out", str(out))
         assert cp.returncode == 2
         assert "--coeffs" in cp.stderr and cp.stdout == ""
         assert not out.exists()

@@ -228,6 +228,11 @@ class TestBondCurrent:
             with pytest.raises(pg.OutOfDomain):
                 pg.bond_current(s, 1, x)
 
+    @pytest.mark.parametrize("x", ["0.1", [0.1, 0.2], None, 0.1j])
+    def test_non_real_position_is_typed(self, basis123_d, x):
+        with pytest.raises(pg.OutOfDomain, match="x = "):
+            pg.bond_current(equal_state(basis123_d), 1, x)
+
 
 class TestVertexCurrent:
     def test_zero_state(self, basis123_d):

@@ -104,14 +104,22 @@ class TestGridSlices:
         assert all((length / (n - 1)) * (n - 1) != length for n in (2001, 4001))
 
     @pytest.mark.parametrize("count", [3, 5, 2001, 4001])
-    @pytest.mark.parametrize("width", [1, 2, 7, None], ids=["1", "2", "7", "whole"])
+    @pytest.mark.parametrize("bond", [1, 2, 3])
+    def test_bond_grid_equals_linspace_bit_for_bit(self, count, bond):
+        g = pg.make_star_graph(self.lengths)
+        expected = np.linspace(0.0, self.lengths[bond - 1], count)
+        assert pg.bond_grid(g, bond, count).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("count", [3, 5, 2001, 4001])
+    # a budget of 4001 elements holds every count in one slice
+    @pytest.mark.parametrize("width", [1, 2, 7, 4001], ids=["1", "2", "7", "whole"])
     @pytest.mark.parametrize("bond", [1, 2, 3])
     def test_joined_slices_equal_grid_and_weights_bit_for_bit(self, count, width, bond):
         g = pg.make_star_graph(self.lengths)
         grid = pg.bond_grid(g, bond, count)
         parts = list(graph._grid_slices(g, bond, count, 1, width))
-        assert len(parts) == (1 if width is None else -(-count // width))
-        assert all(x.size == w.size <= (width or count) for x, w in parts)
+        assert len(parts) == -(-count // width)
+        assert all(x.size == w.size <= width for x, w in parts)
         points = np.concatenate([x for x, _ in parts])
         weights = np.concatenate([w for _, w in parts])
         assert points.tobytes() == grid.tobytes()
@@ -124,7 +132,7 @@ class TestGridSlices:
         assert sizes == [7] * 5 + [6]
 
     def test_slices_cover_the_range_once(self):
-        for n, width, budget in ((0, 3, 10), (1, 3, 10), (10, 3, 2), (10, 0, 4), (9, 2, None)):
+        for n, width, budget in ((0, 3, 10), (1, 3, 10), (10, 3, 2), (10, 0, 4)):
             covered = [i for s in graph._slices(n, width, budget) for i in range(n)[s]]
             assert covered == list(range(n))
 

@@ -248,6 +248,11 @@ class TestEigenmode:
         with pytest.raises(pg.NotARoot):
             pg.eigenmode(1.0, pg.PT_DIRICHLET, graph123)
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+    def test_non_finite_k_is_typed(self, graph123, k):
+        with pytest.raises(pg.NonFiniteInput):
+            pg.eigenmode(k, pg.PT_DIRICHLET, graph123)
+
     def test_degenerate_root_rejected(self, graph123):
         with pytest.raises(pg.DegenerateMode):
             pg.eigenmode(math.pi, pg.PT_DIRICHLET, graph123)
