@@ -223,7 +223,7 @@ def _parse_coeffs(raw: str, n_modes: int) -> np.ndarray:
             raise UsageError("--coeffs", f"could not parse mode count in {raw!r}")
         if count < 1:
             raise UsageError("--coeffs", f"equal:<K> needs K >= 1, got {count}")
-        vals = [1.0 / math.sqrt(count)] * count
+        vals = None  # built only once count has passed the mode check below
     elif raw.startswith("list:"):
         try:
             vals = [complex(t) for t in raw[len("list:"):].split(",")]
@@ -231,12 +231,13 @@ def _parse_coeffs(raw: str, n_modes: int) -> np.ndarray:
             raise UsageError("--coeffs", f"could not parse coefficient: {exc}")
         if not np.all(np.isfinite(vals)):
             raise UsageError("--coeffs", f"coefficients must be finite, got {raw!r}")
+        count = len(vals)
     else:
         raise UsageError("--coeffs", f"expected equal:<K> or list:<c1,c2,...>, got {raw!r}")
-    if len(vals) > n_modes:
-        raise UsageError("--coeffs", f"{len(vals)} coefficients given but only {n_modes} modes available")
+    if count > n_modes:
+        raise UsageError("--coeffs", f"{count} coefficients given but only {n_modes} modes available")
     c = np.zeros(n_modes, dtype=complex)
-    c[: len(vals)] = vals
+    c[:count] = 1.0 / math.sqrt(count) if vals is None else vals
     return c
 
 

@@ -106,25 +106,27 @@ def project(
         raise EmptyBasis("cannot project onto a basis with no modes")
     _check_same_graph(initial, basis)
     graph, width = basis.graph, len(basis.modes)
+
+    def slices():
+        for bond in range(1, graph.n_bonds + 1):
+            for x, w in _grid_slices(graph, bond, resolution, width, _SLICE):
+                yield bond, x, w, basis.profiles(bond, x)
+
     gram, rhs = 0.0, 0j
-    for bond in range(1, graph.n_bonds + 1):
-        for x, w in _grid_slices(graph, bond, resolution, width, _SLICE):
-            phi = basis.profiles(bond, x)
-            phi *= np.sqrt(w)  # in place: phi @ phi.T is then this slice's Gram block
-            gram += phi @ phi.T
-            rhs += _real_matvec(phi, np.sqrt(w) * _sample(initial, bond, x))
-            del phi  # else it stays alive while the next slice's matrix is built
+    for bond, x, w, phi in slices():
+        phi *= np.sqrt(w)  # in place: phi @ phi.T is then this slice's Gram block
+        gram += phi @ phi.T
+        rhs += _real_matvec(phi, np.sqrt(w) * _sample(initial, bond, x))
+        del phi  # else it stays alive while the generator builds the next slice's matrix
     lam, vec = np.linalg.eigh(gram)
     cond = float(lam[-1] / lam[0]) if lam[0] > 0 else float("inf")
     if cond > GRAM_COND_LIMIT:
         raise SingularGram(f"Gram condition number {cond:.3g} exceeds {GRAM_COND_LIMIT:g}")
     coeffs = _real_matvec(vec, _real_matvec(vec.T, rhs) / lam)
     err2 = 0.0
-    for bond in range(1, graph.n_bonds + 1):
-        for x, w in _grid_slices(graph, bond, resolution, width, _SLICE):
-            phi = basis.profiles(bond, x)
-            err2 += w @ np.abs(_sample(initial, bond, x) - _real_matvec(phi.T, coeffs)) ** 2
-            del phi
+    for bond, x, w, phi in slices():
+        err2 += w @ np.abs(_sample(initial, bond, x) - _real_matvec(phi.T, coeffs)) ** 2
+        del phi
     return ProjectionResult(WaveState(basis, coeffs), residual=float(np.sqrt(err2)), gram_cond=cond)
 
 
@@ -136,6 +138,8 @@ def evolve(state: WaveState, t: float) -> WaveState:
 def bond_current(state: WaveState, bond: int, x: float) -> float:
     """Probability current on one bond at a real position x in [0, L_bond] and the state's time."""
     lj = state.graph.length(bond)
+    if isinstance(x, np.ndarray) and x.ndim == 0:
+        x = x[()]  # a 0-d array is read as the numpy scalar it holds
     if not (isinstance(x, Real) and 0.0 <= x <= lj):
         raise OutOfDomain(f"x = {x!r} is not a real number in [0, {lj}] on bond {bond}")
     psi = complex(state.value(bond, float(x)))

@@ -311,7 +311,11 @@ class TestEvolve:
         assert "--coeffs" in cp.stderr
 
     def test_too_many_modes_rejected(self):
-        for coeffs in ("equal:50", "list:" + ",".join(["1"] * 50)):
+        # the count is checked before any coefficient is built, however large
+        for coeffs in (
+            "equal:50", "equal:100000000000", "equal:99999999999999999999",
+            "list:" + ",".join(["1"] * 50),
+        ):
             cp = run_cli(
                 "evolve", "--lengths", "1,1.5,2", "--family", "pt-dirichlet",
                 "--kmax", "4", "--coeffs", coeffs,

@@ -233,6 +233,16 @@ class TestBondCurrent:
         with pytest.raises(pg.OutOfDomain, match="x = "):
             pg.bond_current(equal_state(basis123_d), 1, x)
 
+    @pytest.mark.parametrize("wrap", [np.float64, np.asarray, lambda v: np.asarray([v]).squeeze()])
+    def test_numpy_real_position_matches_float(self, basis123_d, wrap):
+        s = pg.evolve(state_with(basis123_d, 0.8, 0.6j), 0.21)
+        assert pg.bond_current(s, 2, wrap(0.9)) == pg.bond_current(s, 2, 0.9)
+
+    @pytest.mark.parametrize("x", [np.complex128(0.1), np.asarray(0.1j), np.asarray(None)])
+    def test_non_real_numpy_position_is_typed(self, basis123_d, x):
+        with pytest.raises(pg.OutOfDomain, match="x = "):
+            pg.bond_current(equal_state(basis123_d), 1, x)
+
 
 class TestVertexCurrent:
     def test_zero_state(self, basis123_d):
