@@ -84,7 +84,7 @@ class RunConfig:
     args: argparse.Namespace
 
     @classmethod
-    def from_args(cls, args, allowed_families) -> "RunConfig":
+    def from_args(cls, args) -> "RunConfig":
         try:
             lengths = [float(tok) for tok in args.lengths.split(",")]
         except ValueError as exc:
@@ -95,6 +95,7 @@ class RunConfig:
             raise UsageError("--lengths", str(exc))
 
         tag, _, path = args.family.partition(":")  # a built-in tag, or custom:<path>
+        allowed_families = _ALLOWED_FAMILIES[args.command]
         if (CUSTOM if tag == CUSTOM else args.family) not in allowed_families:
             raise UsageError("--family", f"{args.family!r} is not one of {', '.join(allowed_families)}")
         if tag == CUSTOM and not path:
@@ -202,10 +203,10 @@ def cmd_modes(cfg: RunConfig) -> int:
 
     def rows():
         # one (mode, bond) block of samples at a time, so memory does not
-        # grow with the artifact
+        # grow with the artifact; each bond's grid is built once
+        grids = [bond_grid(cfg.graph, j, a.resolution) for j in range(1, cfg.graph.n_bonds + 1)]
         for n, mode in enumerate(basis.modes, start=1):
-            for bond in range(1, cfg.graph.n_bonds + 1):
-                xs = bond_grid(cfg.graph, bond, a.resolution)
+            for bond, xs in enumerate(grids, start=1):
                 vals = np.asarray(mode.value(bond, xs), dtype=complex)
                 columns = (_column(c, a.precision) for c in (xs, vals.real, vals.imag))
                 for x, re, im in zip(*columns):
@@ -385,10 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig.from_args(args, _ALLOWED_FAMILIES[args.command])
+        cfg = RunConfig.from_args(args)
         return _COMMANDS[args.command](cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,6 @@ from basis construction and reported separately.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -103,20 +102,19 @@ def _pole_lattice(lengths: np.ndarray, lo: float, hi: float):
     bonds within POLE_MERGE_REL of each other are one node) and hi.
 
     Returns the nodes, how many bonds vanish at each node (0 at lo and hi)
-    and, per interval between neighbouring nodes, the parity p[i, j] with
-    sign sin(k L_j) = (-1)**p[i, j] inside interval i. A lattice too large to
-    allocate raises InvalidWindow, before any allocation if numpy cannot index it.
+    and, per interval between neighbouring nodes, the parity p[i, j], True
+    where sin(k L_j) < 0 inside interval i. Bond j's multiples n start at
+    max(1, floor(lo L_j / pi)), so the lattice holds about (hi - lo) sum_j L_j / pi
+    nodes; one too large to allocate raises InvalidWindow naming that count.
     """
-    size = sum(hi * l / math.pi for l in lengths.tolist())  # the sine zeros, to rounding
-    refused = InvalidWindow(
-        f"the pole lattice of [{lo}, {hi}] has {size:.4g} nodes, more than can be allocated"
-    )
-    if not size < sys.maxsize // np.dtype(float).itemsize:
-        raise refused
-    try:
-        ks = np.concatenate([np.arange(1, hi * l // math.pi + 2) * math.pi / l for l in lengths])
-    except MemoryError:
-        raise refused from None
+    try:  # numpy: ValueError for a length it cannot index, MemoryError for no memory
+        ks = np.concatenate([np.arange(max(1.0, lo * l // math.pi), hi * l // math.pi + 2)
+                             * math.pi / l for l in lengths.tolist()])
+    except (ValueError, MemoryError):
+        size = (hi - lo) * sum(lengths.tolist()) / math.pi  # Python floats overflow to inf quietly
+        raise InvalidWindow(
+            f"the pole lattice of [{lo}, {hi}] has {size:.4g} nodes, more than can be allocated"
+        ) from None
     ks = np.sort(ks[(ks > lo) & (ks <= hi)])
     first = np.ones(ks.size, dtype=bool)
     first[1:] = np.diff(ks) > POLE_MERGE_REL * ks[1:]
@@ -124,7 +122,7 @@ def _pole_lattice(lengths: np.ndarray, lo: float, hi: float):
     mult = np.zeros(nodes.size, dtype=int)
     mult[1 : 1 + first.sum()] = np.diff(np.append(np.flatnonzero(first), ks.size))
     mid = 0.5 * (nodes[:-1] + nodes[1:])
-    return nodes, mult, np.floor(mid[:, None] * lengths / math.pi) % 2
+    return nodes, mult, np.floor(mid[:, None] * lengths / math.pi) % 2 == 1
 
 
 def _e1_e2_left(w: np.ndarray):
@@ -228,13 +226,13 @@ def find_roots(
 
     The window needs finite 0 <= k_min < k_max, else InvalidWindow. A k_min of
     0 starts it at DEFAULT_ROOT_TOL, which excludes k = 0; a positive k_min is
-    used as given. A window whose pole lattice is too large to allocate (about
-    k_max sum_j L_j / pi nodes) raises InvalidWindow too, naming its node count.
-    Only the real axis is searched: the off-axis conjugate
-    pairs of roots that the PT families have on generic graphs are not reported.
+    used as given. Only the real axis is searched: the off-axis conjugate pairs
+    of roots that the PT families have on generic graphs are not reported.
 
-    Works on the pole lattice, the merged sine zeros n pi / L_j. A zero that
-    two or more bonds share is a root and is returned once, at the pole.
+    Works on the window's part of the pole lattice, the merged sine zeros
+    n pi / L_j: about (k_max - k_min) sum_j L_j / pi nodes, whatever k_min is;
+    one too large to allocate raises InvalidWindow naming that count. A zero
+    that two or more bonds share is a root and is returned once, at the pole.
     Between neighbouring poles:
 
     - self-adjoint (Kirchhoff): sum_j cot(k L_j) falls from +inf to -inf, so

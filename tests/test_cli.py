@@ -144,7 +144,7 @@ class TestRunConfig:
     def test_pair_is_the_one_the_family_names(self, monkeypatch, family):
         monkeypatch.chdir(REPO)
         args = cli.build_parser().parse_args(["verify", "--lengths", "1,1.5,2", "--family", family])
-        cfg = cli.RunConfig.from_args(args, cli._ALLOWED_FAMILIES["verify"])
+        cfg = cli.RunConfig.from_args(args)
         assert [f.name for f in dataclasses.fields(cfg)] == ["graph", "pair", "args"]
         if family == pg.KIRCHHOFF_REF:
             want = pg.bc_matrices(pg.KIRCHHOFF_REF, cfg.graph)

@@ -139,3 +139,65 @@ def test_first_off_axis_pt_zero_reference(sign):
         assert abs(s(k)) < 1e-30
         want = mpmath.mpc("5.469998793107624279", sign * mpmath.mpf("0.545107173148999025"))
         assert abs(k - want) < 1e-15
+
+
+def mp_pt_secular(lengths):
+    """sum_j prod_{i != j} sin(k L_i) in mpmath arithmetic at the exact binary
+    lengths, typed from the product form; it shares no code with the library."""
+    ls = [mpmath.mpf(x) for x in lengths]
+
+    def s(k):
+        sines = [mpmath.sin(k * x) for x in ls]
+        return mpmath.fsum(mpmath.fprod(sines[:j] + sines[j + 1:]) for j in range(len(ls)))
+
+    return s
+
+
+# Spectrum-sweep inputs on which the benchmark's dense-scan oracle reads
+# wrong: it takes two simple roots a few 1e-4 apart for one dip, and a
+# near-tangent dip for a root. All are pt-dirichlet.
+CLOSE_PAIRS = [
+    ((1.146996, 1.156946, 1.446058), 200.0, ("10.8695573241", "10.8709119244")),
+    ((1.116832, 1.21459, 1.328106, 1.337944, 1.125582, 1.412375, 1.225312, 1.239259), 50.0,
+     ("29.9966752691", "29.9974740291")),
+]
+NEAR_TANGENT_DIPS = [
+    ((1.495989, 1.154462, 1.299699, 1.062363, 1.429075, 1.154379, 1.234643, 1.247527,
+      1.158966, 1.243229, 1.333401, 1.186268), 50.0, "35.37748", 9.3e-12),
+    ((1.435884, 1.092863, 1.373476, 1.455972, 1.027498, 1.093824, 1.456538, 1.092362,
+      1.261746, 1.471739, 1.013735, 1.224363), 50.0, "8.62750", 3.9e-13),
+]
+
+
+@pytest.mark.parametrize("lengths,kmax,pair", CLOSE_PAIRS)
+def test_close_pair_of_simple_roots_is_found(lengths, kmax, pair):
+    roots = pg.find_roots(pg.make_star_graph(lengths), 0.0, kmax)
+    with mpmath.workdps(40):
+        s = mp_pt_secular(lengths)
+        want = [mpmath.findroot(s, mpmath.mpf(k)) for k in pair]
+        for w, k in zip(want, pair):
+            assert abs(w - mpmath.mpf(k)) < 1e-10
+            assert abs(mpmath.diff(s, w)) > 1e-4  # simple
+        # S changes sign across each root and has one sign between them
+        d = mpmath.mpf("1e-6")
+        signs = [mpmath.sign(s(k)) for k in (want[0] - d, (want[0] + want[1]) / 2, want[1] + d)]
+        assert signs[0] == -signs[1] == signs[2] != 0
+    near = [r for r in roots if float(want[0]) - 1e-3 < r.k < float(want[1]) + 1e-3]
+    assert [r.degenerate for r in near] == [False, False]
+    assert all(abs(r.k - float(w)) < 1e-10 for r, w in zip(near, want))
+
+
+@pytest.mark.parametrize("lengths,kmax,dip,min_abs", NEAR_TANGENT_DIPS)
+def test_near_tangent_dip_is_not_a_root(lengths, kmax, dip, min_abs):
+    roots = pg.find_roots(pg.make_star_graph(lengths), 0.0, kmax)
+    half = 5e-3  # the nearest root is 7.1e-3 away
+    with mpmath.workdps(40):
+        s = mp_pt_secular(lengths)
+        c = mpmath.findroot(lambda k: mpmath.diff(s, k), mpmath.mpf(dip))
+        assert abs(c - mpmath.mpf(dip)) < 1e-5
+        # |S| has its minimum at c, and S keeps the sign of S(c) about it
+        assert abs(s(c)) == pytest.approx(min_abs, rel=0.05)
+        assert s(c) * mpmath.diff(s, c, 2) > 0
+        grid = mpmath.linspace(c - half, c + half, 101)
+        assert {mpmath.sign(s(k)) for k in grid} == {mpmath.sign(s(c))}
+    assert not [r for r in roots if abs(r.k - float(c)) <= half]

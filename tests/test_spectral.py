@@ -208,6 +208,21 @@ class TestFindRoots:
         # a whole level of (pieces x bonds) arrays at once peaks above 4 MB
         assert peak < 2 * 1024 * 1024
 
+    def test_a_high_window_costs_its_own_lattice_only(self):
+        # a pole lattice built from n = 1 holds 1.27e6 nodes below 1e6 (20 MB);
+        # the lattice of the window holds three
+        g = pg.make_star_graph([1.0, 1.3, 1.7])
+        tracemalloc.start()
+        try:
+            got = pg.find_roots(g, 1e6, 1e6 + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
+        want = [r for r in pg.find_roots(g, 0.0, 1e6 + 1) if r.k > 1e6]
+        assert len(got) == 1
+        assert [(r.k.hex(), r.degenerate) for r in got] == [(r.k.hex(), r.degenerate) for r in want]
+
 
 class TestEigenmode:
     def test_dirichlet_family_conditions(self, basis123_d, graph123):
