@@ -35,7 +35,9 @@ from .errors import (
     TooFewBonds,
     UnknownFamily,
 )
-from .graph import DEFAULT_RESOLUTION, MetricStarGraph, bond_grid, quadrature, simpson_weights
+from .graph import (
+    DEFAULT_RESOLUTION, MetricStarGraph, _is_index, bond_grid, quadrature, simpson_weights
+)
 
 # family tags (shared with the spectral module and the CLI)
 PT_DIRICHLET = "pt-dirichlet"
@@ -75,7 +77,7 @@ class BondFunction:
 
 
 def _check_order(order: int) -> int:
-    if order not in (0, 1, 2):
+    if not (_is_index(order) and 0 <= order <= 2):
         raise OutOfDomain(f"derivative order {order!r} not in 0, 1, 2")
     return order
 
@@ -201,15 +203,11 @@ class TraceVectors:
 
 
 def trace_vectors(f: BondFunction) -> TraceVectors:
-    """Evaluate f and f' at both ends of every bond of its graph, once."""
-    ends = np.array(
-        [[f.value(j, 0.0), f.value(j, lj), f.deriv(j, 0.0), f.deriv(j, lj)]
-         for j, lj in enumerate(f.graph.lengths, start=1)],
-        dtype=complex,
-    )
-    if not np.isfinite(ends).all():
-        raise EvaluationFailure("non-finite endpoint value or derivative")
-    return TraceVectors(f.graph, ends)
+    """Read f and f' at both ends [0, L_j] of every bond of its graph through
+    _sample: one two-point read per bond and order."""
+    ends = [np.concatenate([_sample(f, j, np.array([0.0, lj]), order) for order in (0, 1)])
+            for j, lj in enumerate(f.graph.lengths, start=1)]
+    return TraceVectors(f.graph, np.array(ends))
 
 
 def _slot_count(n_bonds: int) -> int:
@@ -432,9 +430,8 @@ def cpt_inner(
     mirror at L - x, the reversed sample: one (truncation x points) matrix is
     held per bond.
     """
-    _check_same_graph(f, g)
-    _check_same_graph(f, basis)
-    if isinstance(truncation, bool) or not isinstance(truncation, (int, np.integer)) or truncation < 1:
+    _check_same_graph(f, basis)  # _paired_samples checks f against g
+    if not _is_index(truncation) or truncation < 1:
         raise InsufficientBasis(f"truncation must be an integer >= 1, got {truncation!r}")
     if len(basis.modes) < truncation:
         raise InsufficientBasis(

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +21,7 @@ from .boundary import BondFunction, _check_same_graph, _real_matvec, _sample, _w
 from .errors import (
     DimensionMismatch, EmptyBasis, NonFiniteInput, OutOfDomain, SingularGram, UnsortedGrid
 )
-from .graph import DEFAULT_RESOLUTION, _grid_slices, _slices
+from .graph import DEFAULT_RESOLUTION, _finite_real, _grid_slices, _slices
 from .spectral import SpectralBasis
 
 #: projection refuses Gram systems beyond this condition number
@@ -36,22 +35,25 @@ _SLICE = 65536
 @dataclass(frozen=True, eq=False)
 class WaveState(BondFunction):
     """Expansion coefficients over a spectral basis at one instant; compared by identity.
-    A non-finite coefficient or time t raises NonFiniteInput."""
+    A coefficient that is not a finite number, or a time t that is not a finite
+    real number (a str among them), raises NonFiniteInput."""
 
     basis: SpectralBasis
     coeffs: np.ndarray = field(repr=False)
     t: float = 0.0
 
     def __post_init__(self):
-        c = np.array(self.coeffs, dtype=complex)
+        c = np.asarray(self.coeffs)
         if c.shape != (len(self.basis.modes),):
             raise DimensionMismatch(
                 f"need one coefficient per mode ({len(self.basis.modes)}), got shape {c.shape}"
             )
-        if not (np.isfinite(c).all() and np.isfinite(self.t)):
+        if c.dtype.kind not in "biufc" or not (np.isfinite(c).all() and _finite_real(self.t)):
             raise NonFiniteInput(f"non-finite coefficient or time (t = {self.t!r})")
+        c = c.astype(complex)
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "t", float(self.t))
 
     @property
     def graph(self):
@@ -132,15 +134,13 @@ def project(
 
 def evolve(state: WaveState, t: float) -> WaveState:
     """Same coefficients at a new time, which WaveState checks; phases apply on evaluation."""
-    return dataclasses.replace(state, t=float(t))
+    return dataclasses.replace(state, t=t)
 
 
 def bond_current(state: WaveState, bond: int, x: float) -> float:
     """Probability current on one bond at a real position x in [0, L_bond] and the state's time."""
     lj = state.graph.length(bond)
-    if isinstance(x, np.ndarray) and x.ndim == 0:
-        x = x[()]  # a 0-d array is read as the numpy scalar it holds
-    if not (isinstance(x, Real) and 0.0 <= x <= lj):
+    if not (_finite_real(x) and 0.0 <= x <= lj):
         raise OutOfDomain(f"x = {x!r} is not a real number in [0, {lj}] on bond {bond}")
     psi = complex(state.value(bond, float(x)))
     dpsi = complex(state.deriv(bond, float(x)))
@@ -196,13 +196,14 @@ def current_series(state: WaveState, t_grid) -> CurrentSeries:
     The phases are formed over slices of the time axis, so beyond its output
     the working memory does not grow with the grid; each current equals
     vertex_current(evolve(state, t)) bit for bit."""
-    times = np.asarray(t_grid, dtype=float)
+    times = np.asarray(t_grid)
     if times.ndim != 1:
         raise UnsortedGrid("time grid must be one-dimensional")
-    if not np.isfinite(times).all():
-        raise NonFiniteInput("time grid has a non-finite entry")
+    if times.dtype.kind not in "biuf" or not np.isfinite(times).all():
+        raise NonFiniteInput("time grid has an entry that is not a finite real number")
+    times = times.astype(float)  # a copy: the series does not share the caller's array
     if times.size and np.any(np.diff(times) <= 0):
         raise UnsortedGrid("time grid must be strictly increasing")
     currents = _vertex_currents(state, times)
     # summing each row along its contiguous axis matches vertex_current bit for bit
-    return CurrentSeries(times=times.copy(), total=currents.sum(axis=1), per_bond=currents.T)
+    return CurrentSeries(times=times, total=currents.sum(axis=1), per_bond=currents.T)

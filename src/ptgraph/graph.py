@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -37,10 +38,26 @@ class MetricStarGraph:
         return len(self.lengths)
 
     def length(self, bond: int) -> float:
-        """Length of bond `bond` (1-based)."""
-        if not 1 <= bond <= self.n_bonds:
-            raise OutOfDomain(f"bond index {bond} not in 1..{self.n_bonds}")
+        """Length of bond `bond` (1-based); a bool or a non-integer raises OutOfDomain."""
+        if not (_is_index(bond) and 1 <= bond <= self.n_bonds):
+            raise OutOfDomain(f"bond index {bond!r} not in 1..{self.n_bonds}")
         return self.lengths[bond - 1]
+
+
+def _is_index(x) -> bool:
+    """True for an int or a numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _finite_real(x) -> bool:
+    """True for a finite real number or a 0-d array holding one; a str,
+    complex or None is not, nor an int beyond the float range."""
+    if isinstance(x, np.ndarray) and x.ndim == 0:
+        x = x[()]
+    try:
+        return isinstance(x, Real) and math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def make_star_graph(lengths) -> MetricStarGraph:
@@ -69,7 +86,7 @@ def make_star_graph(lengths) -> MetricStarGraph:
 
 def _check_point_count(count: int):
     """Raise EvenPointCount unless Simpson quadrature can use `count` points."""
-    if not isinstance(count, (int, np.integer)) or count < 3 or count % 2 == 0:
+    if not _is_index(count) or count < 3 or count % 2 == 0:
         raise EvenPointCount(f"Simpson quadrature needs an odd integer point count >= 3, got {count!r}")
 
 

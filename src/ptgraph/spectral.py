@@ -29,7 +29,7 @@ from .errors import (
     NormalizationError,
     NotARoot,
 )
-from .graph import DEFAULT_RESOLUTION, MetricStarGraph, _check_point_count, _slices
+from .graph import DEFAULT_RESOLUTION, MetricStarGraph, _check_point_count, _finite_real, _slices
 
 #: where the root window starts when k_min is 0 (excludes k = 0)
 DEFAULT_ROOT_TOL = 1e-12
@@ -102,8 +102,8 @@ def _pole_lattice(lengths: np.ndarray, lo: float, hi: float):
     bonds within POLE_MERGE_REL of each other are one node) and hi.
 
     Returns the nodes, how many bonds vanish at each node (0 at lo and hi)
-    and, per interval between neighbouring nodes, the parity p[i, j], True
-    where sin(k L_j) < 0 inside interval i. Bond j's multiples n start at
+    and, per interval between neighbouring nodes, how many sin(k L_j) are
+    negative inside it. Bond j's multiples n start at
     max(1, floor(lo L_j / pi)), so the lattice holds about (hi - lo) sum_j L_j / pi
     nodes; one too large to allocate raises InvalidWindow naming that count.
     """
@@ -122,7 +122,13 @@ def _pole_lattice(lengths: np.ndarray, lo: float, hi: float):
     mult = np.zeros(nodes.size, dtype=int)
     mult[1 : 1 + first.sum()] = np.diff(np.append(np.flatnonzero(first), ks.size))
     mid = 0.5 * (nodes[:-1] + nodes[1:])
-    return nodes, mult, np.floor(mid[:, None] * lengths / math.pi) % 2 == 1
+    return nodes, mult, np.count_nonzero(np.floor(mid[:, None] * lengths / math.pi) % 2, axis=1)
+
+
+def _degenerate(k, graph: MetricStarGraph):
+    """The one degeneracy rule, for a k or an array: some |sin(k L_j)| < DEGENERATE_SINE_TOL."""
+    sines = np.abs(np.sin(np.multiply.outer(k, graph.lengths)))
+    return sines.min(axis=-1, initial=1.0) < DEGENERATE_SINE_TOL
 
 
 def _e1_e2_left(w: np.ndarray):
@@ -224,7 +230,7 @@ def find_roots(
     the self-adjoint kirchhoff-ref, secular for pt-dirichlet and pt-neumann;
     any other tag, `custom` among them, raises UnknownFamily.
 
-    The window needs finite 0 <= k_min < k_max, else InvalidWindow. A k_min of
+    The window needs finite real 0 <= k_min < k_max, else InvalidWindow. A k_min of
     0 starts it at DEFAULT_ROOT_TOL, which excludes k = 0; a positive k_min is
     used as given. Only the real axis is searched: the off-axis conjugate pairs
     of roots that the PT families have on generic graphs are not reported.
@@ -252,7 +258,7 @@ def find_roots(
     even order off the lattice (k = pi on lengths (1.5, 0.5)), or a band
     where S rounds to exactly 0 next to a pole shared by several bonds.
     """
-    if not (math.isfinite(k_min) and math.isfinite(k_max)) or k_min < 0 or k_min >= k_max:
+    if not (_finite_real(k_min) and _finite_real(k_max)) or k_min < 0 or k_min >= k_max:
         raise InvalidWindow(f"need 0 <= k_min < k_max, got [{k_min}, {k_max}]")
     fam = _family(family)
     sec_fn = secular_kirchhoff if fam.self_adjoint else secular
@@ -261,11 +267,11 @@ def find_roots(
     if lo >= k_max:
         return []
     lengths = np.asarray(graph.lengths, dtype=float)
-    nodes, mult, parity = _pole_lattice(lengths, lo, k_max)
+    nodes, mult, negative = _pole_lattice(lengths, lo, k_max)
     poles = nodes[mult >= 2]
     a, b = nodes[:-1], nodes[1:]
     if fam.self_adjoint:
-        fa = 1.0 - 2.0 * (parity.sum(axis=1) % 2)  # sign of prod_j sin(k L_j)
+        fa = 1.0 - 2.0 * (negative % 2)  # sign of prod_j sin(k L_j)
         fb = -fa
         fa[0], f_hi = sec(nodes[[0, -1]])
         if not mult[-1]:
@@ -273,15 +279,11 @@ def find_roots(
     else:
         f = sec(nodes)
         f[mult >= 2] = np.nan
-        mixed = parity.any(axis=1) & ~parity.all(axis=1)
+        mixed = (negative > 0) & (negative < lengths.size)
         a, b, fa, fb = _split_pt(sec, lengths, a[mixed], b[mixed], f[:-1][mixed], f[1:][mixed])
     cross = fa * fb < 0.0
     ks = np.sort(np.concatenate([poles, b[fb == 0.0], _bisect(sec, a[cross], b[cross], fa[cross])]))
-    min_sine = np.abs(np.sin(ks[:, None] * lengths)).min(axis=1, initial=1.0)
-    return [
-        SecularRoot(k=float(k), degenerate=bool(s < DEGENERATE_SINE_TOL))
-        for k, s in zip(ks, min_sine)
-    ]
+    return [SecularRoot(k=float(k), degenerate=bool(d)) for k, d in zip(ks, _degenerate(ks, graph))]
 
 
 def _profile(k, norm_const, sine, L, x, sin_profile: bool, order: int):
@@ -343,21 +345,22 @@ def eigenmode(
     quadrature L2 norm at `resolution` points per bond; disagreement beyond
     NORM_CHECK_TOL raises NormalizationError. The grid is raised where needed,
     never lowered, so that k times its spacing stays at or below
-    NORM_CHECK_K_SPACING. `k` must be a finite root of the family's secular
-    function, else NonFiniteInput or NotARoot; a tag without a row in the
-    boundary table raises UnknownFamily.
+    NORM_CHECK_K_SPACING. `k` must be a finite real root of the family's
+    secular function, else NonFiniteInput or NotARoot, and regular by the rule
+    that flags find_roots' degenerate roots, else DegenerateMode; a tag
+    without a row in the boundary table raises UnknownFamily.
     """
     fam = _family(family)
-    if not math.isfinite(k):
-        raise NonFiniteInput(f"wavenumber k = {k!r} is not finite")
+    if not _finite_real(k):
+        raise NonFiniteInput(f"wavenumber k = {k!r} is not a finite real number")
     resid = abs(float((secular_kirchhoff if fam.self_adjoint else secular)(k, graph)))
     if resid >= MODE_ROOT_TOL:
         raise NotARoot(f"|secular({k})| = {resid:g} >= {MODE_ROOT_TOL:g}")
-    sines = [math.sin(k * l) for l in graph.lengths]
-    if min(abs(s) for s in sines) <= DEGENERATE_SINE_TOL:
+    if _degenerate(k, graph):
         raise DegenerateMode(
             f"sin(k L_j) vanishes at k = {k:.12g}; closed-form profile undefined"
         )
+    sines = [math.sin(k * l) for l in graph.lengths]
     sign = -1.0 if fam.sin_profile else 1.0
     total = sum(
         (2.0 * k * l + sign * math.sin(2.0 * k * l)) / (4.0 * k * s * s)
@@ -387,7 +390,6 @@ class SpectralBasis:
 
     modes: tuple[EigenMode, ...]
     family: str
-    k_max: float
     graph: MetricStarGraph
     degenerate_roots: tuple[SecularRoot, ...] = field(default=())
 
@@ -433,6 +435,4 @@ def build_basis(
         eigenmode(r.k, family, graph, resolution) for r in roots if not r.degenerate
     )
     degenerate = tuple(r for r in roots if r.degenerate)
-    return SpectralBasis(
-        modes=modes, family=family, k_max=float(k_max), graph=graph, degenerate_roots=degenerate
-    )
+    return SpectralBasis(modes=modes, family=family, graph=graph, degenerate_roots=degenerate)

@@ -105,6 +105,14 @@ class TestTraceVectors:
         assert np.allclose(t.dpsi[:3], k)
         assert np.allclose(t.dpsi[3:], [-k * math.cos(k * l) for l in ls])
 
+    def test_ends_are_read_through_the_sampling_gate(self, graph123):
+        # both ends of a bond are one two-point read, so an evaluator that
+        # returns one value whatever it is given fails the shape check of _sample
+        scalar = lambda x: 1.0
+        f = pg.bond_function(graph123, [scalar] * 3, [zero] * 3, [zero] * 3)
+        with pytest.raises(pg.EvaluationFailure, match="shape"):
+            pg.trace_vectors(f)
+
     def test_non_finite_endpoint_rejected(self, graph123):
         bad = lambda x: np.full_like(np.asarray(x, dtype=float), np.nan)
         f = pg.bond_function(graph123, [bad, zero, zero], [zero] * 3, [zero] * 3)
@@ -891,6 +899,16 @@ class TestCombine:
         with pytest.raises(pg.GraphMismatch):
             pg.combine([pg.zero_function(graph123), pg.zero_function(graph111)], [1.0, 1.0])
 
+    def test_empty_combination_rejected(self):
+        with pytest.raises(pg.DimensionMismatch, match="at least one function"):
+            pg.combine([], [])
+
+
+def test_trig_function_needs_one_term_list_per_bond(graph123):
+    for terms in ([[(1.0, 2.0, 0.3)]] * 2, [[(1.0, 2.0, 0.3)]] * 4):
+        with pytest.raises(pg.DimensionMismatch, match="one term list per bond"):
+            pg.trig_function(graph123, terms)
+
 
 class TestModesAndStatesAreBondFunctions:
     """A mode or a wave state is passed to every form as it is, and each form
@@ -961,7 +979,7 @@ class TestDerivativeOrders:
     @pytest.mark.parametrize(
         "kind", ["mode", "profiles", "state", "trig_function", "bond_function", "combine"]
     )
-    @pytest.mark.parametrize("order", [-1, 3, 5, 7])
+    @pytest.mark.parametrize("order", [-1, 3, 5, 7, True, False, 1.0, "1"])
     def test_unsupported_order_raises(self, evaluators, kind, order):
         evaluate = evaluators[kind]
         for order_ok in (0, 1, 2):
@@ -984,10 +1002,33 @@ class TestBondRange:
         }
 
     @pytest.mark.parametrize("kind", ["trig_function", "zero_function", "bond_function", "combine"])
-    @pytest.mark.parametrize("bond", [0, -1, 4])
+    @pytest.mark.parametrize("bond", [0, -1, 4, True, False, 1.0, "1"])
     def test_bond_out_of_range_raises(self, functions, kind, bond):
         f = functions[kind]
         for order in (0, 1, 2):
             assert np.all(np.isfinite(f.evaluate(3, 0.3, order)))
             with pytest.raises(pg.OutOfDomain, match="bond index"):
                 f.evaluate(bond, 0.3, order)
+
+    @pytest.mark.parametrize("bond", [True, 1.0, "1", np.True_])
+    def test_bool_or_non_integer_bond_raises_in_every_evaluator(self, basis123_d, graph123, bond):
+        state = pg.WaveState(basis123_d, np.ones(len(basis123_d)))
+        calls = (
+            lambda: basis123_d.modes[0].value(bond, 0.3),
+            lambda: basis123_d.profiles(bond, 0.3),
+            lambda: state.value(bond, 0.3),
+            lambda: pg.bond_current(state, bond, 0.3),
+            lambda: pg.bond_grid(graph123, bond, 5),
+            lambda: graph123.length(bond),
+        )
+        for call in calls:
+            with pytest.raises(pg.OutOfDomain, match="bond index"):
+                call()
+
+    def test_numpy_integer_bond_and_order_are_valid(self, functions, basis123_d):
+        f = functions["trig_function"]
+        mode = basis123_d.modes[0]
+        for g in (f, mode):
+            for order in (0, 1, 2):
+                want = bits(g.evaluate(2, 0.3, order))
+                assert bits(g.evaluate(np.int64(2), 0.3, np.int32(order))) == want

@@ -106,6 +106,15 @@ class TestSpectrum:
         first_k = float(data_rows(b.read_text())[1].split(",")[1])
         assert abs(first_pt - first_k) > 0.1
 
+    def test_an_internal_error_exits_1_without_output(self, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "find_roots", broken)
+        cp = run_cli("spectrum", "--lengths", "1,1.5,2")
+        assert (cp.returncode, cp.stdout) == (1, "")
+        assert cp.stderr == "internal error: RuntimeError: boom\n"
+
     def test_a_pole_lattice_too_large_to_allocate_is_a_typed_failure(self):
         # 6.4e20 lattice nodes, refused before anything is allocated
         cp = run_cli("spectrum", "--lengths", "1,1e20", "--kmax", "20")
@@ -338,6 +347,15 @@ class TestEvolve:
         assert cp.returncode == 2
         assert "--coeffs" in cp.stderr
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--tmax", "0"), ("--tmax", "inf"), ("--tsteps", "1"), ("--coeffs", "equal:abc"),
+    ])
+    def test_evolve_validation_names_the_flag(self, flag, value):
+        flags = {"--coeffs": "equal:2", flag: value}
+        cp = run_cli("evolve", "--lengths", "1,1.5,2", *(tok for kv in flags.items() for tok in kv))
+        assert (cp.returncode, cp.stdout) == (2, "")
+        assert cp.stderr.startswith(f"error: {flag}: "), cp.stderr
+
     @pytest.mark.parametrize("raw", ["list:nan", "list:inf,1", "list:0.5,nanj"])
     def test_non_finite_coefficient_is_a_usage_error(self, tmp_path: Path, raw):
         out = tmp_path / "j.csv"
@@ -487,20 +505,22 @@ class TestVerify:
         (("--lengths", "1,1.3,1.7", "--family", "kirchhoff-ref"), 4 * 3 * 5),
     ])
     def test_endpoints_are_evaluated_once_per_mode(self, monkeypatch, args, evaluations):
-        # one trace table per mode: f and f' at both ends of each of the N bonds
-        scalar_calls = []
+        # one trace table per mode: f and f' at both ends of each of the N bonds,
+        # as 2N two-point reads at [0, L_j], each (k, bond, order) once
+        reads = []
         evaluate = spectral.EigenMode.evaluate
 
         def counted(self, bond, x, order=0):
-            if np.ndim(x) == 0:
-                scalar_calls.append((self.k, bond, x, order))
+            if np.shape(x) == (2,):
+                assert np.array_equal(x, [0.0, self.graph.length(bond)])
+                reads.append((self.k, bond, order))
             return evaluate(self, bond, x, order)
 
         monkeypatch.setattr(spectral.EigenMode, "evaluate", counted)
         cp = run_cli("verify", *args)
         assert cp.returncode == 0
         assert "result: PASS" in cp.stdout
-        assert len(scalar_calls) == len(set(scalar_calls)) == evaluations
+        assert 2 * len(reads) == 2 * len(set(reads)) == evaluations
 
     def test_report_written_to_file(self, tmp_path: Path):
         out = tmp_path / "report.txt"
@@ -724,6 +744,13 @@ class TestEntryPoints:
         with open(REPO / "pyproject.toml", "rb") as fh:
             scripts = tomllib.load(fh)["project"]["scripts"]
         assert scripts == {"ptgraph": "ptgraph.__main__:main"}
+
+    def test_distribution_is_ptgraph_at_the_package_version(self):
+        # the version is written twice; CI also checks importlib.metadata after the install
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+        with open(REPO / "pyproject.toml", "rb") as fh:
+            project = tomllib.load(fh)["project"]
+        assert (project["name"], project["version"]) == ("ptgraph", pg.__version__)
 
     def test_help(self):
         cp = launch("--help")

@@ -81,7 +81,7 @@ class TestProject:
             k=m.k + 2e-9, family=m.family, norm_const=m.norm_const, graph=graph123
         )
         bad = pg.SpectralBasis(
-            modes=(m, near_twin), family=m.family, k_max=20.0, graph=graph123
+            modes=(m, near_twin), family=m.family, graph=graph123
         )
         with pytest.raises(pg.SingularGram):
             pg.project(m, bad)
@@ -197,6 +197,23 @@ class TestEvolve:
         s = equal_state(basis123_d)
         assert np.array_equal(pg.evolve(s, 2.5).coeffs, s.coeffs)
 
+    @pytest.mark.parametrize("t", [1j, 0.3 + 0j, "x", "0.1", None, np.asarray(1j),
+                                   pytest.param(10**400, id="10**400")])
+    def test_non_real_time_is_typed(self, basis123_d, t):
+        # a complex t would grow the phases exp(-i k^2 t) without bound
+        s = equal_state(basis123_d)
+        with pytest.raises(pg.NonFiniteInput):
+            pg.evolve(s, t)
+        with pytest.raises(pg.NonFiniteInput):
+            pg.WaveState(basis123_d, s.coeffs, t=t)
+
+    @pytest.mark.parametrize("wrap", [np.float64, np.asarray, lambda t: np.float32(t)])
+    def test_numpy_real_time_is_stored_as_a_float(self, basis123_d, wrap):
+        s = equal_state(basis123_d)
+        later = pg.evolve(s, wrap(0.25))
+        assert type(later.t) is float and later.t == float(wrap(0.25))
+        assert later.value(2, 0.7) == pg.evolve(s, float(wrap(0.25))).value(2, 0.7)
+
 
 class TestBondCurrent:
     def test_single_mode_carries_no_current(self, basis123_d, graph123):
@@ -284,6 +301,23 @@ class TestCurrentSeries:
             pg.current_series(s, [0.0, 0.5, 0.4])
         with pytest.raises(pg.UnsortedGrid):
             pg.current_series(s, [0.0, 0.5, 0.5])
+
+    @pytest.mark.parametrize("times", [
+        ["a", "b"], ["0", "1"], [0, 1j], np.array([0.0, 1.0]) + 0j, [0.0, None],
+    ])
+    def test_non_real_time_grid_is_typed(self, basis123_d, times):
+        with pytest.raises(pg.NonFiniteInput, match="not a finite real number"):
+            pg.current_series(equal_state(basis123_d), times)
+
+    def test_two_dimensional_grid_rejected(self, basis123_d):
+        with pytest.raises(pg.UnsortedGrid, match="one-dimensional"):
+            pg.current_series(equal_state(basis123_d), [[0.0, 0.5], [1.0, 1.5]])
+
+    def test_series_does_not_share_the_callers_grid(self, basis123_d):
+        times = np.linspace(0.0, 1.0, 5)
+        series = pg.current_series(equal_state(basis123_d), times)
+        times[0] = -1.0
+        assert series.times[0] == 0.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_time_rejected(self, basis_inc_d, bad):
@@ -415,6 +449,11 @@ class TestWaveStateValidation:
             coeffs[2] = entry
             with pytest.raises(pg.NonFiniteInput):
                 pg.WaveState(basis123_d, coeffs)
+
+    @pytest.mark.parametrize("entry", ["a", "1", None])
+    def test_non_numeric_coefficient_is_typed(self, basis123_d, entry):
+        with pytest.raises(pg.NonFiniteInput):
+            pg.WaveState(basis123_d, [entry] * len(basis123_d))
 
     def test_states_compare_and_hash_by_identity(self, basis123_d):
         coeffs = np.exp(0.7j * np.arange(len(basis123_d)))

@@ -153,6 +153,22 @@ class TestFindRoots:
             with pytest.raises(pg.InvalidWindow):
                 pg.find_roots(graph123, k_min, k_max)
 
+    @pytest.mark.parametrize("k_min, k_max", [
+        ("0", 10.0), (0.0, "10"), (0.0, 10 + 0j), (None, 10.0), (0.0, None),
+        pytest.param(0.0, 10**400, id="0.0-10**400"),
+    ])
+    def test_non_real_window_is_typed(self, graph123, k_min, k_max):
+        with pytest.raises(pg.InvalidWindow):
+            pg.find_roots(graph123, k_min, k_max)
+        with pytest.raises(pg.InvalidWindow):
+            pg.build_basis(graph123, pg.PT_DIRICHLET, k_max, k_min)
+
+    @pytest.mark.parametrize("family", [pg.PT_DIRICHLET, pg.KIRCHHOFF_REF])
+    def test_window_below_the_default_cut_off_is_empty(self, graph123, family):
+        assert pg.find_roots(graph123, 0.0, 1e-13, family) == []
+        basis = pg.build_basis(graph123, family, 1e-13)
+        assert basis.modes == basis.degenerate_roots == ()
+
     # only lattices far beyond any memory: 6.4e20 nodes, more than numpy can index,
     # and 6.4e13 nodes (463 TiB), whose allocation fails at once
     @pytest.mark.parametrize("long_bond,nodes", [(1e20, "6.366e+20"), (1e13, "6.366e+13")])
@@ -263,7 +279,8 @@ class TestEigenmode:
         with pytest.raises(pg.NotARoot):
             pg.eigenmode(1.0, pg.PT_DIRICHLET, graph123)
 
-    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 3 + 0j, "3", None,
+                                   pytest.param(10**400, id="10**400")])
     def test_non_finite_k_is_typed(self, graph123, k):
         with pytest.raises(pg.NonFiniteInput):
             pg.eigenmode(k, pg.PT_DIRICHLET, graph123)
@@ -370,8 +387,47 @@ class TestBuildBasis:
         m = basis123_d.modes
         with pytest.raises(pg.DimensionMismatch):
             pg.SpectralBasis(
-                modes=(m[1], m[0]), family=pg.PT_DIRICHLET, k_max=20.0, graph=basis123_d.graph
+                modes=(m[1], m[0]), family=pg.PT_DIRICHLET, graph=basis123_d.graph
             )
+
+
+    @pytest.mark.parametrize("field, value", [
+        ("family", pg.PT_NEUMANN), ("graph", pg.make_star_graph([1.0, 1.5, 2.5])),
+    ])
+    def test_basis_modes_share_its_family_and_graph(self, basis123_d, field, value):
+        stranger = dataclasses.replace(basis123_d.modes[1], **{field: value})
+        with pytest.raises(pg.DimensionMismatch, match="share the basis family and graph"):
+            pg.SpectralBasis(
+                modes=(basis123_d.modes[0], stranger), family=pg.PT_DIRICHLET,
+                graph=basis123_d.graph,
+            )
+
+
+class TestDegeneracyRule:
+    """find_roots flags and eigenmode refuses by one rule, so build_basis keeps
+    exactly the roots that find_roots calls regular."""
+
+    @pytest.mark.parametrize("family", [pg.PT_DIRICHLET, pg.KIRCHHOFF_REF])
+    def test_regular_at_its_own_min_sine_and_degenerate_one_ulp_above(
+        self, graph123, monkeypatch, family
+    ):
+        roots = pg.find_roots(graph123, 0.0, 3.0, family)
+        k = roots[0].k  # 2.0341 for pt-dirichlet on (1, 1.3, 1.7)
+        own = float(np.abs(np.sin(k * np.asarray(graph123.lengths))).min())
+        assert own > 0.1 and not roots[0].degenerate
+        for tol, degenerate in ((own, False), (np.nextafter(own, 1.0), True)):
+            monkeypatch.setattr(spectral, "DEGENERATE_SINE_TOL", tol)
+            got = pg.find_roots(graph123, 0.0, 3.0, family)
+            assert [r.k for r in got] == [r.k for r in roots]
+            assert got[0].degenerate is degenerate
+            basis = pg.build_basis(graph123, family, 3.0)
+            assert [m.k for m in basis.modes] == [r.k for r in got if not r.degenerate]
+            assert basis.degenerate_roots == tuple(r for r in got if r.degenerate)
+            if degenerate:
+                with pytest.raises(pg.DegenerateMode):
+                    pg.eigenmode(k, family, graph123)
+            else:
+                assert pg.eigenmode(k, family, graph123).k == k
 
 
 class TestProfiles:
