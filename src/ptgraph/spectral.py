@@ -98,15 +98,13 @@ class SecularRoot:
 
 
 def _pole_lattice(lengths: np.ndarray, lo: float, hi: float):
-    """Nodes lo, the sine zeros n pi / L_j in (lo, hi] (zeros of different
-    bonds within POLE_MERGE_REL of each other are one node) and hi.
-
-    Returns the nodes, how many bonds vanish at each node (0 at lo and hi)
-    and, per interval between neighbouring nodes, how many sin(k L_j) are
-    negative inside it. Bond j's multiples n start at
-    max(1, floor(lo L_j / pi)), so the lattice holds about (hi - lo) sum_j L_j / pi
-    nodes; one too large to allocate raises InvalidWindow naming that count.
-    """
+    """The window's nodes: the sine zeros n pi / L_j, those of different bonds
+    within POLE_MERGE_REL of each other being one node, from lo's node to hi's.
+    An end within POLE_MERGE_REL of a sine zero is that zero's node; any other
+    end is a node at which no bond vanishes. Returns the nodes, how many bonds
+    vanish at each and, per interval, how many sin(k L_j) are negative inside.
+    Bond j's multiples start at n = max(1, floor(lo L_j / pi)), so a lattice
+    too large to allocate raises InvalidWindow naming its node count."""
     try:  # numpy: ValueError for a length it cannot index, MemoryError for no memory
         ks = np.concatenate([np.arange(max(1.0, lo * l // math.pi), hi * l // math.pi + 2)
                              * math.pi / l for l in lengths.tolist()])
@@ -115,12 +113,16 @@ def _pole_lattice(lengths: np.ndarray, lo: float, hi: float):
         raise InvalidWindow(
             f"the pole lattice of [{lo}, {hi}] has {size:.4g} nodes, more than can be allocated"
         ) from None
-    ks = np.sort(ks[(ks > lo) & (ks <= hi)])
-    first = np.ones(ks.size, dtype=bool)
-    first[1:] = np.diff(ks) > POLE_MERGE_REL * ks[1:]
-    nodes = np.concatenate([[lo], ks[first], [hi] if ks.size == 0 or ks[-1] < hi else []])
-    mult = np.zeros(nodes.size, dtype=int)
-    mult[1 : 1 + first.sum()] = np.diff(np.append(np.flatnonzero(first), ks.size))
+    ks = np.sort(ks)
+    first = np.diff(ks, prepend=-np.inf) > POLE_MERGE_REL * ks
+    group = np.cumsum(first) - 1
+    lattice, counts = ks[first], np.bincount(group)
+    lo, hi = (np.append(lattice[group[np.abs(ks - e) <= POLE_MERGE_REL * np.maximum(ks, e)]], e)[0]
+              for e in (lo, hi))
+    inner = (lattice > lo) & (lattice < hi)
+    nodes = np.concatenate([[lo], lattice[inner], [hi] if hi > lo else []])  # else no interval
+    mult = np.concatenate([[0], counts[inner], [0]])[: nodes.size]
+    mult[[0, -1]] = [counts[lattice == e].sum() for e in nodes[[0, -1]]]  # 0 off the lattice
     mid = 0.5 * (nodes[:-1] + nodes[1:])
     return nodes, mult, np.count_nonzero(np.floor(mid[:, None] * lengths / math.pi) % 2, axis=1)
 
@@ -238,13 +240,14 @@ def find_roots(
     Works on the window's part of the pole lattice, the merged sine zeros
     n pi / L_j: about (k_max - k_min) sum_j L_j / pi nodes, whatever k_min is;
     one too large to allocate raises InvalidWindow naming that count. A zero
-    that two or more bonds share is a root and is returned once, at the pole.
-    Between neighbouring poles:
+    that two or more bonds share is a root, returned once at the pole. A window
+    end within POLE_MERGE_REL of a sine zero is that node: a pole at k_min lies
+    outside the window, one at k_max inside. Between neighbouring nodes:
 
     - self-adjoint (Kirchhoff): sum_j cot(k L_j) falls from +inf to -inf, so
       each interval holds exactly one root and S has the signs
-      +/- sign(prod_j sin k L_j) at its ends; only the window ends are
-      evaluated.
+      +/- sign(prod_j sin k L_j) at its ends; S is read only at a window end
+      off the lattice.
     - PT: sum_j csc(k L_j) has no root where all sines share a sign; the
       other intervals are halved until a Rolle bound on S'' leaves at most
       one root per piece. The pieces of one level are tested together, in
@@ -264,18 +267,14 @@ def find_roots(
     sec_fn = secular_kirchhoff if fam.self_adjoint else secular
     sec = lambda k: sec_fn(k, graph)
     lo = k_min or DEFAULT_ROOT_TOL
-    if lo >= k_max:
-        return []
     lengths = np.asarray(graph.lengths, dtype=float)
     nodes, mult, negative = _pole_lattice(lengths, lo, k_max)
     poles = nodes[mult >= 2]
     a, b = nodes[:-1], nodes[1:]
     if fam.self_adjoint:
-        fa = 1.0 - 2.0 * (negative % 2)  # sign of prod_j sin(k L_j)
-        fb = -fa
-        fa[0], f_hi = sec(nodes[[0, -1]])
-        if not mult[-1]:
-            fb[-1] = f_hi
+        sign = 1.0 - 2.0 * (negative % 2)  # sign of prod_j sin(k L_j)
+        f_lo, f_hi = sec(nodes[[0, -1]])  # read only at an end off the lattice
+        fa, fb = np.where(mult[:-1] == 0, f_lo, sign), np.where(mult[1:] == 0, f_hi, -sign)
     else:
         f = sec(nodes)
         f[mult >= 2] = np.nan
@@ -283,6 +282,7 @@ def find_roots(
         a, b, fa, fb = _split_pt(sec, lengths, a[mixed], b[mixed], f[:-1][mixed], f[1:][mixed])
     cross = fa * fb < 0.0
     ks = np.sort(np.concatenate([poles, b[fb == 0.0], _bisect(sec, a[cross], b[cross], fa[cross])]))
+    ks = ks[(ks > lo) & (ks <= k_max)]
     return [SecularRoot(k=float(k), degenerate=bool(d)) for k, d in zip(ks, _degenerate(ks, graph))]
 
 

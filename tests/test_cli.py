@@ -57,6 +57,14 @@ class TestSpectrum:
         assert first[2] == "false"
         assert len(rows) == 1 + 12
 
+    def test_a_tol_on_a_shared_pole_keeps_the_roots_above_it(self):
+        # pi is a pole of bonds 1 and 2; the window (pi, 5] holds two roots
+        cp = run_cli("spectrum", "--lengths", "1,1,1.7", "--family", "kirchhoff-ref",
+                     "--tol", "3.141592653589793", "--kmax", "5")
+        assert cp.returncode == 0, cp.stderr
+        rows = data_rows(cp.stdout)
+        assert rows[1:] == ["1,3.56546383573,false", "2,4.66989369366,false"]
+
     def test_single_bond_usage_error(self):
         cp = run_cli("spectrum", "--lengths", "1.0", "--kmax", "5")
         assert cp.returncode == 2

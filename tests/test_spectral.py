@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import re
 import time
 import tracemalloc
@@ -238,6 +239,62 @@ class TestFindRoots:
         want = [r for r in pg.find_roots(g, 0.0, 1e6 + 1) if r.k > 1e6]
         assert len(got) == 1
         assert [(r.k.hex(), r.degenerate) for r in got] == [(r.k.hex(), r.degenerate) for r in want]
+
+
+def shared_pole_sample(count):
+    """The first `count` graphs of the end sample: N = 3..7 lengths in [0.8, 2]
+    with L_2 = L_1, and p = m pi / L_1 for m = 1..20, a pole of bonds 1 and 2."""
+    rng = random.Random(3)
+    for _ in range(count):
+        lengths = [round(rng.uniform(0.8, 2.0), 6) for _ in range(rng.randint(3, 7))]
+        lengths[1] = lengths[0]
+        yield pg.make_star_graph(lengths), rng.randint(1, 20) * math.pi / lengths[0]
+
+
+def root_bits(roots):
+    return [(r.k.hex(), r.degenerate) for r in roots]
+
+
+class TestWindowEnds:
+    """A window end within POLE_MERGE_REL of a sine zero is that lattice node:
+    a pole at k_min lies outside (k_min, k_max], one at k_max inside, and
+    every other root keeps the bits of the k_min = 0 call."""
+
+    @pytest.mark.parametrize("family", pg.BUILTIN_FAMILIES)
+    def test_an_end_on_a_shared_pole_reads_as_the_lattice_does(self, family):
+        for g, p in shared_pole_sample(12):
+            ref = pg.find_roots(g, 0.0, p + 1.0, family)
+            assert any(r.k == p and r.degenerate for r in ref), (g.lengths, p)
+            # k_max side: windows from p - 1, off the lattice, instead of from 0, for time
+            near = pg.find_roots(g, p - 1.0, p + 1.0, family)
+            for end in (math.nextafter(p, 0.0), p, math.nextafter(p, math.inf)):
+                case = (g.lengths, end)
+                above = pg.find_roots(g, end, p + 1.0, family)
+                assert root_bits(above) == root_bits(r for r in ref if r.k > end), case
+                below = pg.find_roots(g, p - 1.0, end, family)
+                assert root_bits(below) == root_bits(r for r in near if r.k <= end), case
+
+    @pytest.mark.parametrize("family", pg.BUILTIN_FAMILIES)
+    @pytest.mark.parametrize("k_min, k_max, want", [
+        (math.pi, math.pi * (1 + 1e-13), []),
+        (math.pi * (1 - 1e-13), math.pi, [math.pi]),
+        (math.pi * (1 - 1e-13), math.pi * (1 + 1e-13), [math.pi]),
+        (math.pi * (1 + 1e-13), math.pi * (1 + 2e-13), []),
+    ], ids=["pole-at-k_min", "pole-at-k_max", "pole-inside", "pole-below"])
+    def test_a_window_inside_the_merge_tolerance_holds_the_pole_or_nothing(
+        self, family, k_min, k_max, want
+    ):
+        g = pg.make_star_graph([1.0, 1.0, 1.7])
+        roots = pg.find_roots(g, k_min, k_max, family)
+        assert [r.k for r in roots] == want
+        assert all(r.degenerate for r in roots)
+
+    @pytest.mark.parametrize("family", pg.BUILTIN_FAMILIES)
+    def test_a_window_inside_a_simple_zero_tolerance_is_empty(self, family):
+        g = pg.make_star_graph([1.0, 1.0, 1.7])
+        z = math.pi / 1.7
+        for k_min, k_max in ((z, z * (1 + 1e-13)), (z * (1 - 1e-13), z)):
+            assert pg.find_roots(g, k_min, k_max, family) == []
 
 
 class TestEigenmode:
