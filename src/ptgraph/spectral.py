@@ -2,12 +2,8 @@
 
 Both PT-consistent condition families share one transcendental root
 condition in the wavenumber k, sum_j csc(k L_j) = 0; the Hermitian
-reference family has its own, sum_j cot(k L_j) = 0. All of their structure
-sits on the sine zeros n pi / L_j, so roots are bracketed on that pole
-lattice: a zero shared by two or more bonds is itself a root, each
-pole-free interval of the Kirchhoff family holds exactly one root, and the
-PT intervals are subdivided until a curvature bound leaves at most one
-root per piece. The brackets are bisected together. Roots where some
+reference family has its own, sum_j cot(k L_j) = 0. find_roots brackets
+their roots on the pole lattice, the sine zeros n pi / L_j. Roots where some
 sin(k L_j) vanishes are flagged degenerate: the closed-form eigenfunctions
 divide by sin(k L_j) and are undefined there, so such roots are excluded
 from basis construction and reported separately.
@@ -15,6 +11,7 @@ from basis construction and reported separately.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -97,14 +94,22 @@ class SecularRoot:
     degenerate: bool
 
 
+def _end_node(ks, lattice, counts, e, side):
+    """Window end e as a node and its multiplicity: the node of the lowest (side 0) or highest
+    (side -1) zero in ks within POLE_MERGE_REL of e, else (e, 0). Either only widens the window."""
+    w = 2 * POLE_MERGE_REL * e  # wider than the test below
+    near = ks[bisect_left(ks, e - w):bisect_right(ks, e + w)]  # np.searchsorted's first call pages in 64 kB
+    near = near[np.abs(near - e) <= POLE_MERGE_REL * np.maximum(near, e)]
+    if not near.size:
+        return e, 0
+    i = bisect_right(lattice, near[side]) - 1
+    return lattice[i], counts[i]
+
+
 def _pole_lattice(lengths: np.ndarray, lo: float, hi: float):
-    """The window's nodes: the sine zeros n pi / L_j, those of different bonds
-    within POLE_MERGE_REL of each other being one node, from lo's node to hi's.
-    An end within POLE_MERGE_REL of a sine zero is that zero's node; any other
-    end is a node at which no bond vanishes. Returns the nodes, how many bonds
-    vanish at each and, per interval, how many sin(k L_j) are negative inside.
-    Bond j's multiples start at n = max(1, floor(lo L_j / pi)), so a lattice
-    too large to allocate raises InvalidWindow naming its node count."""
+    """The window's nodes from lo's node to hi's (see _end_node), sine zeros n pi / L_j of
+    different bonds within POLE_MERGE_REL of each other being one node; how many bonds
+    vanish at each; and, per interval, how many sin(k L_j) are negative inside."""
     try:  # numpy: ValueError for a length it cannot index, MemoryError for no memory
         ks = np.concatenate([np.arange(max(1.0, lo * l // math.pi), hi * l // math.pi + 2)
                              * math.pi / l for l in lengths.tolist()])
@@ -115,14 +120,11 @@ def _pole_lattice(lengths: np.ndarray, lo: float, hi: float):
         ) from None
     ks = np.sort(ks)
     first = np.diff(ks, prepend=-np.inf) > POLE_MERGE_REL * ks
-    group = np.cumsum(first) - 1
-    lattice, counts = ks[first], np.bincount(group)
-    lo, hi = (np.append(lattice[group[np.abs(ks - e) <= POLE_MERGE_REL * np.maximum(ks, e)]], e)[0]
-              for e in (lo, hi))
-    inner = (lattice > lo) & (lattice < hi)
+    lattice, counts = ks[first], np.diff(np.append(np.flatnonzero(first), ks.size))
+    (lo, m_lo), (hi, m_hi) = (_end_node(ks, lattice, counts, e, side) for e, side in ((lo, 0), (hi, -1)))
+    inner = slice(bisect_right(lattice, lo), bisect_left(lattice, hi))
     nodes = np.concatenate([[lo], lattice[inner], [hi] if hi > lo else []])  # else no interval
-    mult = np.concatenate([[0], counts[inner], [0]])[: nodes.size]
-    mult[[0, -1]] = [counts[lattice == e].sum() for e in nodes[[0, -1]]]  # 0 off the lattice
+    mult = np.concatenate([[m_lo], counts[inner], [m_hi]])[: nodes.size]
     mid = 0.5 * (nodes[:-1] + nodes[1:])
     return nodes, mult, np.count_nonzero(np.floor(mid[:, None] * lengths / math.pi) % 2, axis=1)
 
@@ -242,24 +244,22 @@ def find_roots(
     one too large to allocate raises InvalidWindow naming that count. A zero
     that two or more bonds share is a root, returned once at the pole. A window
     end within POLE_MERGE_REL of a sine zero is that node: a pole at k_min lies
-    outside the window, one at k_max inside. Between neighbouring nodes:
+    outside the window, one at k_max inside (see _end_node). Between neighbouring nodes:
 
-    - self-adjoint (Kirchhoff): sum_j cot(k L_j) falls from +inf to -inf, so
-      each interval holds exactly one root and S has the signs
-      +/- sign(prod_j sin k L_j) at its ends; S is read only at a window end
-      off the lattice.
+    - self-adjoint (Kirchhoff): sum_j cot(k L_j) falls from +inf to -inf, so each
+      interval holds exactly one root and S has the signs +/- sign(prod_j sin k L_j)
+      at its ends; S is read only at a window end off the lattice.
     - PT: sum_j csc(k L_j) has no root where all sines share a sign; the
       other intervals are halved until a Rolle bound on S'' leaves at most
-      one root per piece. The pieces of one level are tested together, in
-      slices of at most _ROLLE_SLICE (pieces x bonds) elements, so the
-      working memory of the test does not grow with pieces x bonds.
+      one root per piece (see _split_pt and _rolle_bound).
 
-    A sign change brackets that root, and all brackets are bisected together
-    to the floating-point floor. A root is flagged degenerate when
-    some |sin(k L_j)| < DEGENERATE_SINE_TOL. Roots that cannot be separated
-    in floating point raise EvaluationFailure naming a k near them: a root of
-    even order off the lattice (k = pi on lengths (1.5, 0.5)), or a band
-    where S rounds to exactly 0 next to a pole shared by several bonds.
+    A sign change brackets that root, and all brackets are bisected together to
+    the floating-point floor; roots are then cut to (k_min, k_max]. A root is
+    flagged degenerate when some |sin(k L_j)| < DEGENERATE_SINE_TOL. Roots that
+    cannot be separated in floating point raise EvaluationFailure naming a k
+    near them: a root of even order off the lattice (k = pi on lengths
+    (1.5, 0.5)), or a band where S rounds to exactly 0 next to a pole shared
+    by several bonds.
     """
     if not (_finite_real(k_min) and _finite_real(k_max)) or k_min < 0 or k_min >= k_max:
         raise InvalidWindow(f"need 0 <= k_min < k_max, got [{k_min}, {k_max}]")

@@ -275,6 +275,20 @@ class TestWindowEnds:
                 assert root_bits(below) == root_bits(r for r in near if r.k <= end), case
 
     @pytest.mark.parametrize("family", pg.BUILTIN_FAMILIES)
+    @pytest.mark.parametrize("rel", [0.6e-12, 0.9e-12])
+    def test_an_end_near_two_separate_zeros_keeps_the_root_between_them(self, family, rel):
+        # the zeros pi and pi (1 + 1.5e-12) of bonds 1 and 2 are two nodes with a
+        # root between them; the cut lies within POLE_MERGE_REL of both
+        g = pg.make_star_graph([1.0, 1.0 / (1 + 1.5e-12), 1.7])
+        cut = math.pi * (1 + rel)
+        ref = pg.find_roots(g, 0.0, 5.0, family)
+        assert any(math.pi < r.k < math.pi * (1 + 1.5e-12) for r in ref)
+        below = pg.find_roots(g, 0.0, cut, family)
+        assert root_bits(below) == root_bits(r for r in ref if r.k <= cut)
+        above = pg.find_roots(g, cut, 5.0, family)
+        assert root_bits(above) == root_bits(r for r in ref if r.k > cut)
+
+    @pytest.mark.parametrize("family", pg.BUILTIN_FAMILIES)
     @pytest.mark.parametrize("k_min, k_max, want", [
         (math.pi, math.pi * (1 + 1e-13), []),
         (math.pi * (1 - 1e-13), math.pi, [math.pi]),
