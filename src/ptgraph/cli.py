@@ -49,9 +49,10 @@ from .boundary import (
 from .dynamics import WaveState, current_series
 from .errors import PTGraphError
 from .graph import DEFAULT_RESOLUTION, MetricStarGraph, bond_grid, make_star_graph
-from .spectral import DEFAULT_ROOT_TOL, build_basis, find_roots
+from .spectral import build_basis, find_roots
 
 DEFAULT_KMAX = 20.0
+DEFAULT_ROOT_TOL = 1e-12
 DEFAULT_PRECISION = 12
 
 #: verify thresholds (fixed; the report gates against exactly these)
@@ -260,8 +261,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    a, graph = cfg.args, cfg.graph
-    p = a.precision
+    a, graph, p = cfg.args, cfg.graph, cfg.args.precision
     report = [f"ptgraph {__version__} verify", f"family  : {a.family}", f"lengths : {a.lengths}"]
 
     def check(ok: bool, label: str):

@@ -28,8 +28,6 @@ from .errors import (
 )
 from .graph import DEFAULT_RESOLUTION, MetricStarGraph, _check_point_count, _finite_real, _slices
 
-#: where the root window starts when k_min is 0 (excludes k = 0)
-DEFAULT_ROOT_TOL = 1e-12
 #: basis wavenumbers must be further apart than this
 MODE_SEPARATION_TOL = 1e-9
 #: sine zeros of different bonds closer than this (relative) are one pole
@@ -107,11 +105,11 @@ def _end_node(ks, lattice, counts, e, side):
 
 
 def _pole_lattice(lengths: np.ndarray, lo: float, hi: float):
-    """The window's nodes from lo's node to hi's (see _end_node), sine zeros n pi / L_j of
-    different bonds within POLE_MERGE_REL of each other being one node; how many bonds
-    vanish at each; and, per interval, how many sin(k L_j) are negative inside."""
+    """The window's nodes from lo's node to hi's (see _end_node), sine zeros n pi / L_j (n >= 0)
+    of different bonds within POLE_MERGE_REL of each other being one node; how many bonds
+    vanish at each (all N at k = 0); and, per interval, how many sin(k L_j) are negative inside."""
     try:  # numpy: ValueError for a length it cannot index, MemoryError for no memory
-        ks = np.concatenate([np.arange(max(1.0, lo * l // math.pi), hi * l // math.pi + 2)
+        ks = np.concatenate([np.arange(lo * l // math.pi, hi * l // math.pi + 2)
                              * math.pi / l for l in lengths.tolist()])
     except (ValueError, MemoryError):
         size = (hi - lo) * sum(lengths.tolist()) / math.pi  # Python floats overflow to inf quietly
@@ -133,6 +131,18 @@ def _degenerate(k, graph: MetricStarGraph):
     """The one degeneracy rule, for a k or an array: some |sin(k L_j)| < DEGENERATE_SINE_TOL."""
     sines = np.abs(np.sin(np.multiply.outer(k, graph.lengths)))
     return sines.min(axis=-1, initial=1.0) < DEGENERATE_SINE_TOL
+
+
+def _kirchhoff_ends(sec, ends, off, lengths):
+    """S at the window's ends. At an end off the lattice where all of S's terms underflow (every
+    sin(k L_j) tiny, as at k = 1e-12 on 29 or more bonds), S rounds to 0 or a few subnormal ulps,
+    so it is read there as sign(prod_j sin k L_j) sum_j cot(k L_j), which has S's sign."""
+    f, s = sec(ends), np.sin(ends[:, None] * lengths)
+    under = off & (np.prod(np.sort(np.abs(s))[:, 1:], axis=1) < np.finfo(float).tiny)  # largest term's bound
+    with np.errstate(divide="ignore", over="ignore"):  # at a subnormal k, cot is an inf of its sign
+        cot = np.cos(ends[under, None] * lengths) / s[under]
+    f[under] = np.prod(np.copysign(1.0, s[under]), axis=1) * cot.sum(axis=1)
+    return f
 
 
 def _e1_e2_left(w: np.ndarray):
@@ -222,33 +232,28 @@ def _bisect(sec, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray:
     return 0.5 * (a + b)
 
 
-def find_roots(
-    graph: MetricStarGraph,
-    k_min: float,
-    k_max: float,
-    family: str = PT_DIRICHLET,
-) -> list[SecularRoot]:
+def find_roots(graph: MetricStarGraph, k_min: float, k_max: float,
+               family: str = PT_DIRICHLET) -> list[SecularRoot]:
     """Locate all real roots of the family's secular function on (k_min, k_max].
 
     The family's row of the boundary table names it: secular_kirchhoff for
     the self-adjoint kirchhoff-ref, secular for pt-dirichlet and pt-neumann;
     any other tag, `custom` among them, raises UnknownFamily.
 
-    The window needs finite real 0 <= k_min < k_max, else InvalidWindow. A k_min of
-    0 starts it at DEFAULT_ROOT_TOL, which excludes k = 0; a positive k_min is
-    used as given. Only the real axis is searched: the off-axis conjugate pairs
-    of roots that the PT families have on generic graphs are not reported.
+    The window needs finite real 0 <= k_min < k_max, else InvalidWindow. Only the real
+    axis is searched: the off-axis conjugate pairs of roots that the PT families have
+    on generic graphs are not reported.
 
-    Works on the window's part of the pole lattice, the merged sine zeros
-    n pi / L_j: about (k_max - k_min) sum_j L_j / pi nodes, whatever k_min is;
-    one too large to allocate raises InvalidWindow naming that count. A zero
-    that two or more bonds share is a root, returned once at the pole. A window
-    end within POLE_MERGE_REL of a sine zero is that node: a pole at k_min lies
-    outside the window, one at k_max inside (see _end_node). Between neighbouring nodes:
+    Works on the window's part of the pole lattice, the merged sine zeros n pi / L_j,
+    n >= 0: about (k_max - k_min) sum_j L_j / pi nodes, whatever k_min is; one too large
+    to allocate raises InvalidWindow naming that count. A zero that two or more bonds
+    share is a root, returned once at the pole. A window end within POLE_MERGE_REL of a
+    sine zero is that node: a pole at k_min lies outside the window, one at k_max inside
+    (see _end_node), so k = 0, which all N bonds share, is never a root. Between nodes:
 
     - self-adjoint (Kirchhoff): sum_j cot(k L_j) falls from +inf to -inf, so each
       interval holds exactly one root and S has the signs +/- sign(prod_j sin k L_j)
-      at its ends; S is read only at a window end off the lattice.
+      at its ends; S is read only at a window end off the lattice (see _kirchhoff_ends).
     - PT: sum_j csc(k L_j) has no root where all sines share a sign; the
       other intervals are halved until a Rolle bound on S'' leaves at most
       one root per piece (see _split_pt and _rolle_bound).
@@ -266,23 +271,22 @@ def find_roots(
     fam = _family(family)
     sec_fn = secular_kirchhoff if fam.self_adjoint else secular
     sec = lambda k: sec_fn(k, graph)
-    lo = k_min or DEFAULT_ROOT_TOL
     lengths = np.asarray(graph.lengths, dtype=float)
-    nodes, mult, negative = _pole_lattice(lengths, lo, k_max)
+    nodes, mult, negative = _pole_lattice(lengths, k_min, k_max)
     poles = nodes[mult >= 2]
     a, b = nodes[:-1], nodes[1:]
     if fam.self_adjoint:
         sign = 1.0 - 2.0 * (negative % 2)  # sign of prod_j sin(k L_j)
-        f_lo, f_hi = sec(nodes[[0, -1]])  # read only at an end off the lattice
+        f_lo, f_hi = _kirchhoff_ends(sec, nodes[[0, -1]], mult[[0, -1]] == 0, lengths)
         fa, fb = np.where(mult[:-1] == 0, f_lo, sign), np.where(mult[1:] == 0, f_hi, -sign)
     else:
         f = sec(nodes)
         f[mult >= 2] = np.nan
         mixed = (negative > 0) & (negative < lengths.size)
         a, b, fa, fb = _split_pt(sec, lengths, a[mixed], b[mixed], f[:-1][mixed], f[1:][mixed])
-    cross = fa * fb < 0.0
+    cross = np.sign(fa) * np.sign(fb) < 0.0  # a product of values can round to -0.0
     ks = np.sort(np.concatenate([poles, b[fb == 0.0], _bisect(sec, a[cross], b[cross], fa[cross])]))
-    ks = ks[(ks > lo) & (ks <= k_max)]
+    ks = ks[(ks > k_min) & (ks <= k_max)]
     return [SecularRoot(k=float(k), degenerate=bool(d)) for k, d in zip(ks, _degenerate(ks, graph))]
 
 
@@ -421,13 +425,8 @@ class SpectralBasis:
         return _profile(k, norm, sines, lj, x, _family(self.family).sin_profile, order)
 
 
-def build_basis(
-    graph: MetricStarGraph,
-    family: str,
-    k_max: float,
-    k_min: float = 0.0,
-    resolution: int = DEFAULT_RESOLUTION,
-) -> SpectralBasis:
+def build_basis(graph: MetricStarGraph, family: str, k_max: float, k_min: float = 0.0,
+                resolution: int = DEFAULT_RESOLUTION) -> SpectralBasis:
     """Build eigenmodes at the regular roots that find_roots gives on (k_min, k_max];
     `resolution` is passed to the norm check of `eigenmode`."""
     roots = find_roots(graph, k_min, k_max, family)

@@ -65,6 +65,22 @@ class TestSpectrum:
         rows = data_rows(cp.stdout)
         assert rows[1:] == ["1,3.56546383573,false", "2,4.66989369366,false"]
 
+    # 30 bonds: S(1e-12) is about 1e-12^29, which rounds to 0 in floating point
+    THIRTY_BONDS = ",".join(f"{1 + 0.03 * j:.2f}" for j in range(30))
+
+    @pytest.mark.parametrize("tol", [(), ("--tol", "1e-3")], ids=["default-tol", "tol-1e-3"])
+    def test_the_default_tol_keeps_the_ground_state_of_many_bonds(self, tol):
+        cp = run_cli("spectrum", "--lengths", self.THIRTY_BONDS, "--family", "kirchhoff-ref",
+                     "--kmax", "1.5", *tol)
+        assert cp.returncode == 0, cp.stderr
+        assert data_rows(cp.stdout)[1:] == ["1,1.09463158662,false"]
+
+    def test_a_kmax_where_the_secular_function_underflows_is_not_a_root(self):
+        cp = run_cli("spectrum", "--lengths", self.THIRTY_BONDS, "--family", "kirchhoff-ref",
+                     "--kmax", "2e-12")
+        assert cp.returncode == 0, cp.stderr
+        assert data_rows(cp.stdout) == ["n,k,degenerate"]
+
     def test_single_bond_usage_error(self):
         cp = run_cli("spectrum", "--lengths", "1.0", "--kmax", "5")
         assert cp.returncode == 2

@@ -10,7 +10,7 @@ import pytest
 
 import ptgraph as pg
 from perfbench.tracer import Tracer
-from ptgraph import spectral
+from ptgraph import cli, spectral
 from util import (
     GOLDEN_K1,
     GOLDEN_KIRCHHOFF_123,
@@ -183,7 +183,7 @@ class TestFindRoots:
     @pytest.mark.parametrize("family", [pg.PT_DIRICHLET, pg.KIRCHHOFF_REF])
     def test_zero_k_min_starts_the_window_at_the_default_cut_off(self, graph123, family):
         got = pg.find_roots(graph123, 0.0, 20.0, family)
-        want = pg.find_roots(graph123, spectral.DEFAULT_ROOT_TOL, 20.0, family)
+        want = pg.find_roots(graph123, cli.DEFAULT_ROOT_TOL, 20.0, family)
         assert len(got) > 5
         assert [(r.k, r.degenerate) for r in got] == [(r.k, r.degenerate) for r in want]
 
@@ -226,7 +226,7 @@ class TestFindRoots:
         assert peak < 2 * 1024 * 1024
 
     def test_a_high_window_costs_its_own_lattice_only(self):
-        # a pole lattice built from n = 1 holds 1.27e6 nodes below 1e6 (20 MB);
+        # a pole lattice built from k = 0 holds 1.27e6 nodes below 1e6 (20 MB);
         # the lattice of the window holds three
         g = pg.make_star_graph([1.0, 1.3, 1.7])
         tracemalloc.start()
@@ -304,11 +304,62 @@ class TestWindowEnds:
         assert all(r.degenerate for r in roots)
 
     @pytest.mark.parametrize("family", pg.BUILTIN_FAMILIES)
+    def test_every_lattice_node_is_an_exact_cut_point(self, family):
+        # k = 0, the zero that every bond shares, is a node like p, so a window
+        # from 0 and one from a k_min off the lattice both split exactly at p
+        rng = random.Random(17)
+        for i in range(100):
+            lengths = [round(rng.uniform(0.5, 2.5), 6) for _ in range(rng.randint(2, 7))]
+            if i % 3 == 0:
+                lengths[1] = lengths[0]
+            g = pg.make_star_graph(lengths)
+            p = rng.randint(1, 4) * math.pi / rng.choice(lengths)
+            k_min = 0.0 if i % 2 else rng.uniform(0.0, p)
+            k_max = p + rng.uniform(0.5, 2.0)
+            whole = pg.find_roots(g, k_min, k_max, family)
+            parts = pg.find_roots(g, k_min, p, family) + pg.find_roots(g, p, k_max, family)
+            assert root_bits(parts) == root_bits(whole), (lengths, k_min, p, k_max)
+
+    @pytest.mark.parametrize("family", pg.BUILTIN_FAMILIES)
     def test_a_window_inside_a_simple_zero_tolerance_is_empty(self, family):
         g = pg.make_star_graph([1.0, 1.0, 1.7])
         z = math.pi / 1.7
         for k_min, k_max in ((z, z * (1 + 1e-13)), (z * (1 - 1e-13), z)):
             assert pg.find_roots(g, k_min, k_max, family) == []
+
+
+def merged_sine_zeros(lengths, k_max):
+    """How many bonds vanish at each sine zero n pi / L_j in (0, k_max], a zero
+    within 1e-12 (relative) of the one below it counting with that one."""
+    zeros = sorted(n * math.pi / l for l in lengths for n in range(1, int(k_max * l / math.pi) + 2))
+    counts, prev = [], -math.inf
+    for z in (z for z in zeros if z <= k_max):
+        if z - prev <= 1e-12 * z:
+            counts[-1] += 1
+        else:
+            counts.append(1)
+        prev = z
+    return counts
+
+
+def test_kirchhoff_roots_interlace_the_sine_zeros():
+    # sum_j cot(k L_j) falls from +inf to -inf between neighbouring zeros, so
+    # (0, K] holds one root below each zero, one at each shared zero, and one
+    # above the last zero once the sum is negative at K; k = 0 is the zero
+    # that all N bonds share, so the lowest root counts on every N
+    rng = random.Random(29)
+    for i in range(100):
+        lengths = [round(rng.uniform(1.0, 2.0), 6) for _ in range(rng.randint(2, 96))]
+        if i % 4 == 1:
+            lengths[-1] = lengths[0]
+        elif i % 4 == 2:
+            lengths[-1] = 2.0 * lengths[0]
+        k_max = rng.uniform(1.0, 1.0 + 60.0 / len(lengths))
+        counts = merged_sine_zeros(lengths, k_max)
+        last = sum(1.0 / math.tan(k_max * l) for l in lengths) < 0.0
+        want = len(counts) + sum(c >= 2 for c in counts) + last
+        got = pg.find_roots(pg.make_star_graph(lengths), 0.0, k_max, pg.KIRCHHOFF_REF)
+        assert len(got) == want, (lengths, k_max)
 
 
 class TestEigenmode:
